@@ -51,14 +51,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="ascii")
 
 
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6f}"
-
-
 def cmd_predict(args) -> int:
     config = load_config(args.config)
     state = derive_focus_state(config)
@@ -70,7 +62,7 @@ def cmd_predict(args) -> int:
         f"# camera: {args.config}",
         f"# b_u_mm: {state.b_u_mm:.6f}",
         f"# d_ap_mm: {state.d_ap_mm:.6f}",
-        f"# a_u_mm: {_fmt(state.a_u_mm)}",
+        f"# a_u_mm: {state.a_u_mm:.6f}",
         f"# entrance_pupil_mm: {raymodel.entrance_pupil_distance(state, config):.6f}",
         "G,dx,B_mm,Phi_deg,Z_mm",
     ]
@@ -83,7 +75,7 @@ def cmd_predict(args) -> int:
                 z = raymodel.triangulate(
                     array, raymodel.TriangulationQuery(gap=gap, disparity_px=dx)
                 )
-                lines.append(f"{gap},{dx:g},{b:.6f},{phi:.6f},{_fmt(z)}")
+                lines.append(f"{gap},{dx:g},{b:.6f},{phi:.6f},{z:.6f}")
         else:
             lines.append(f"{gap},,{b:.6f},{phi:.6f},")
     if args.pupil_diameter_mm is not None and gaps:
@@ -174,11 +166,20 @@ def cmd_render(args) -> int:
     scene_path = Path(args.scene)
     planes = oracle.parse_scene(scene_path.read_text(encoding="utf-8"))
     raw = oracle.render_synthetic_scene(config, planes, base_dir=scene_path.parent)
-    quantized = np.round(np.clip(raw.samples, 0.0, 1.0) * args.maxval).astype(
-        np.uint16 if args.maxval > 255 else np.uint8
-    )
-    lightfield.write_pgm(args.out, quantized, maxval=args.maxval)
+    lightfield.write_pgm(args.out, _quantize(raw.samples, args.maxval), maxval=args.maxval)
     return 0
+
+
+def _quantize(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """Clip float samples to [0, 1] and round them onto 0..maxval.
+
+    Works in place on samples, which it overwrites: a rendered raw is the
+    largest array of the run, and whole-frame temporaries would double it.
+    """
+    np.clip(samples, 0.0, 1.0, out=samples)
+    samples *= maxval
+    np.rint(samples, out=samples)
+    return samples.astype(np.uint16 if maxval > 255 else np.uint8)
 
 
 def _report(outcomes, verbose: bool) -> tuple[int, int]:

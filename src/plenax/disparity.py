@@ -140,11 +140,19 @@ def block_match(
 
     Returns:
         DisparityMap of left's geometry.
+
+    Raises:
+        ValueError: The views differ in shape, are not 2-D, or either
+            holds a non-finite value, which would spread through the
+            window sums and leave wrong but finite disparities.
     """
     if left.shape != right.shape:
         raise ValueError(f"view sizes differ: {left.shape} vs {right.shape}")
     if left.ndim != 2:
         raise ValueError(f"views must be 2-D, got shape {left.shape}")
+    for name, view in (("left", left), ("right", right)):
+        if not np.isfinite(view).all():
+            raise ValueError(f"{name} view holds non-finite values")
     height, width = left.shape
     half = params.block_size // 2
     maxd = params.max_disparity
@@ -209,25 +217,19 @@ def block_match(
 def write_map_csv(path: str | Path, values: np.ndarray, header: dict | None = None) -> None:
     """Write a float grid as comma-separated rows with '#' header lines.
 
-    Invalid cells are written as nan; infinities as inf/-inf.
+    Every cell is printed as %.6f, which writes invalid cells as nan and
+    infinities as inf/-inf.
     """
-    lines = []
-    for key, value in (header or {}).items():
-        lines.append(f"# {key}: {value}")
+    lines = [f"# {key}: {value}" for key, value in (header or {}).items()]
     arr = np.asarray(values, dtype=np.float64)
-    lines.append(f"# rows: {arr.shape[0]}")
-    lines.append(f"# cols: {arr.shape[1]}")
-    for row in arr:
-        lines.append(",".join(_format_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _format_cell(v: float) -> str:
-    if np.isnan(v):
-        return "nan"
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.6f}"
+    rows, cols = arr.shape
+    lines.append(f"# rows: {rows}")
+    lines.append(f"# cols: {cols}")
+    # One C-level format call per row: as fast as one call over the whole
+    # grid, without holding every cell as a Python float at once.
+    row_template = ",".join(["%.6f"] * cols) + "\n"
+    body = "".join(row_template % tuple(row.tolist()) for row in arr)
+    Path(path).write_text("\n".join(lines) + "\n" + body, encoding="ascii")
 
 
 def read_map_csv(path: str | Path) -> np.ndarray:

@@ -195,11 +195,15 @@ class CameraConfig:
 
     def __post_init__(self) -> None:
         if not self.focus.at_infinity:
-            floor = self.main_lens.focal_length_mm + self.main_lens.principal_gap_mm
-            if self.focus.d_f_mm <= floor:
+            # a_u + b_u = d_f - h1h2 with 1/a_u + 1/b_u = 1/f_u has a real
+            # root b_u only when d_f - h1h2 >= 4 f_u.
+            f_u = self.main_lens.focal_length_mm
+            h1h2 = self.main_lens.principal_gap_mm
+            if self.focus.d_f_mm - h1h2 < 4.0 * f_u:
                 raise ValueError(
                     f"d_f_mm={self.focus.d_f_mm} is too close to focus: "
-                    f"no real image distance exists below {floor:.4f} mm"
+                    f"no real image distance exists below "
+                    f"4*f_u + h1h2 = {4.0 * f_u + h1h2:.4f} mm"
                 )
 
     @property

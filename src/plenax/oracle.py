@@ -363,13 +363,23 @@ def parse_scene(text: str) -> tuple[ScenePlane, ...]:
 
 
 def _texture_sampler(plane: ScenePlane, base_dir: Path | None):
-    """Build sample(x, y) -> grid of texture values at the outer product."""
+    """Build sample(x, y) -> (table, index) for the texture at an outer product.
+
+    Both textures are separable: the value at (x[k], y[r]) is
+    table[r, index[k]], with one table row per y and a few columns.
+    """
     if plane.texture == "checker":
         period = plane.argument_mm
 
         def sample(x, y):
-            cells = np.floor(x[None, :] / period) + np.floor(y[:, None] / period)
-            return (cells % 2.0).astype(np.float64)
+            # floor(x/p) + floor(y/p) is odd exactly when one of the two
+            # whole-valued cell indices is odd, so the cell colour is
+            # |parity(y) - parity(x)|: column k of the table holds the
+            # colour for x parity k.
+            x_parity = np.floor(x / period) % 2.0
+            y_parity = np.floor(y / period) % 2.0
+            table = np.abs(y_parity[:, None] - np.array([0.0, 1.0]))
+            return table, x_parity.astype(np.int64)
 
         return sample
 
@@ -383,7 +393,8 @@ def _texture_sampler(plane: ScenePlane, base_dir: Path | None):
     def sample(x, y):
         col = np.floor(x / scale).astype(np.int64) % image.shape[1]
         row = np.floor(y / scale).astype(np.int64) % image.shape[0]
-        return image[row[:, None], col[None, :]]
+        used, index = np.unique(col, return_inverse=True)
+        return image[np.ix_(row, used)], index
 
     return sample
 
@@ -436,13 +447,20 @@ def render_synthetic_scene(
             cols[p, np.arange(config.mla.count_h) * m + c + i] = qx[idx] * z_plane + ux[idx]
             rows[p, np.arange(config.mla.count_v) * m + c + i] = qy[idx] * z_plane + uy[idx]
 
-    raw = np.full((height, width), float(background))
-    owner = np.full(width, -1, dtype=np.int64)
+    # Every mosaic column takes its texture from the nearest plane covering
+    # it, so the raw is one column gather from the planes' stacked tables.
+    # Table column 0 is the background.
+    tables = [np.full((height, 1), float(background))]
+    index = np.zeros(width, dtype=np.int64)
+    owned = np.zeros(width, dtype=bool)
     for p, plane in enumerate(planes):
-        free = owner < 0
+        free = ~owned
         if plane.band is not None:
             free &= (cols[p] >= plane.band[0]) & (cols[p] <= plane.band[1])
-        owner[free] = p
+        owned |= free
         if free.any():
-            raw[:, free] = samplers[p](cols[p, free], rows[p])
+            table, plane_index = samplers[p](cols[p, free], rows[p])
+            index[free] = sum(t.shape[1] for t in tables) + plane_index
+            tables.append(table)
+    raw = np.take(np.concatenate(tables, axis=1), index, axis=1)
     return RawLightFieldImage(samples=raw, config=config)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import plenax as px
-from plenax.cli import main
+from plenax.cli import _quantize, main
 
 
 def run(capsys, *argv):
@@ -146,6 +146,20 @@ class TestRenderExtractPipeline:
         )
         assert code == 1
         assert "error:" in err
+
+
+class TestQuantize:
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_matches_round_of_clipped_scale(self, maxval):
+        ties = (np.arange(maxval) + 0.5) / maxval
+        edges = np.array([-np.inf, -1.0, -1e-9, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 7.0, np.inf])
+        samples = np.concatenate([ties, edges, np.linspace(-0.2, 1.2, 1001)])
+        scaled = np.clip(samples, 0.0, 1.0) * maxval
+        assert (scaled % 1.0 == 0.5).sum() > maxval // 2
+        reference = np.round(scaled).astype(np.uint16 if maxval > 255 else np.uint8)
+        got = _quantize(samples.copy(), maxval)
+        assert got.dtype == reference.dtype
+        assert np.array_equal(got, reference)
 
 
 class TestDisparityCommand:

@@ -104,6 +104,14 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError):
             px.parse_config(text)
 
+    def test_unfocusable_distance_rejected_at_load(self, tmp_path):
+        # f_u + h1h2 = 344.59 mm < d_f < 4 f_u + h1h2 = 935.97 mm: the thin
+        # lens equation has no real image distance.
+        path = tmp_path / "near.cfg"
+        path.write_text(VALID.replace("d_f_mm = inf", "d_f_mm = 600.0"))
+        with pytest.raises(ConfigError, match=r"d_f_mm=600\.0 .*935\.9674 mm"):
+            px.load_config(path)
+
     def test_nonexistent_path(self, tmp_path):
         with pytest.raises((ConfigError, OSError)):
             px.load_config(tmp_path / "missing.cfg")

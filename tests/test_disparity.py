@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import plenax as px
 
@@ -136,6 +139,17 @@ class TestBlockMatch:
         assert d.valid.shape == (20, 30)
         assert d.valid.sum() == np.isfinite(d.values).sum()
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_view_rejected(self, side):
+        # One NaN used to spread through the window sums and turn 540 of
+        # the 1,800 outputs of this 40x60 pair into a finite 0.0.
+        rng = np.random.default_rng(3)
+        views = {"left": rng.random((40, 60))}
+        views["right"] = np.roll(views["left"], 2, axis=1)
+        views[side][20, 30] = np.nan
+        with pytest.raises(ValueError, match=f"{side} view"):
+            px.block_match(views["left"], views["right"], px.MatchParams(block_size=5))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             px.block_match(np.zeros((10, 10)), np.zeros((10, 11)), px.MatchParams(block_size=5))
@@ -171,7 +185,45 @@ class TestSceneProperties:
         assert v.mean() == pytest.approx(0.5, abs=0.1)
 
 
+def reference_csv_text(values, header):
+    """The per-cell formatter write_map_csv used before it formatted in C."""
+
+    def cell(v):
+        if np.isnan(v):
+            return "nan"
+        if np.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return f"{v:.6f}"
+
+    lines = [f"# {key}: {value}" for key, value in header.items()]
+    lines += [f"# rows: {values.shape[0]}", f"# cols: {values.shape[1]}"]
+    lines += [",".join(cell(v) for v in row) for row in values]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_CELLS = [np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, -0.0, 1e300, 1e-7]
+
+
 class TestMapIo:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        values=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+            elements=st.one_of(st.floats(), st.sampled_from(SPECIAL_CELLS)),
+        )
+    )
+    @example(values=np.zeros((0, 0)))
+    @example(values=np.zeros((3, 0)))
+    @example(values=np.zeros((0, 3)))
+    @example(values=np.array([SPECIAL_CELLS]))
+    def test_csv_bytes_match_per_cell_reference(self, tmp_path, values):
+        header = {"left": "views/v-2.pgm", "gap": 4}
+        path = tmp_path / "map.csv"
+        px.write_map_csv(path, values, header=header)
+        assert path.read_bytes() == reference_csv_text(values, header).encode("ascii")
+
     def test_csv_round_trip_with_specials(self, tmp_path):
         values = np.array([[1.25, np.nan, -3.5], [np.inf, 0.0, -np.inf]])
         path = tmp_path / "map.csv"

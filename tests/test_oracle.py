@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import plenax as px
+from plenax.oracle import _texture_sampler
 
 
 class TestTraceElements:
@@ -197,3 +198,66 @@ class TestRenderer:
         )
         with pytest.raises((OSError, ValueError)):
             px.render_synthetic_scene(f197.config, [plane], base_dir=tmp_path)
+
+
+def dense_checker(x, y, period):
+    """The outer-product checker the renderer sampled before it went separable."""
+    cells = np.floor(x[None, :] / period) + np.floor(y[:, None] / period)
+    return (cells % 2.0).astype(np.float64)
+
+
+class TestTextureSamplers:
+    @pytest.mark.parametrize("period", [0.37, 1.0, 2.5, 1e9])
+    def test_checker_matches_dense_parity(self, period):
+        # Negative coordinates, exact period multiples and their float
+        # neighbours, where floor() changes cell.
+        k = np.arange(-6.0, 7.0)
+        edges = k * period
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-0.0, -period / 3, 0.4 * period - 5 * period],
+        ])
+        y = np.concatenate([edges[::-1], np.nextafter(edges, -np.inf), [-0.0, 1e-300]])
+        plane = px.ScenePlane(depth_mm=1000.0, texture="checker", argument_mm=period)
+        table, index = _texture_sampler(plane, None)(x, y)
+        got = table[:, index]
+        assert got.tobytes() == dense_checker(x, y, period).tobytes()
+
+    def test_file_texture_matches_dense_lookup(self, tmp_path):
+        rng = np.random.default_rng(5)
+        image = rng.integers(0, 256, size=(7, 11))
+        px.write_pgm(tmp_path / "tile.pgm", image, maxval=255)
+        scale = 0.3
+        plane = px.ScenePlane(
+            depth_mm=1000.0, texture="file", argument_mm=scale, path="tile.pgm"
+        )
+        x = np.linspace(-9.0, 9.0, 53)
+        y = np.linspace(-4.0, 6.0, 29)
+        table, index = _texture_sampler(plane, tmp_path)(x, y)
+        col = np.floor(x / scale).astype(np.int64) % 11
+        row = np.floor(y / scale).astype(np.int64) % 7
+        dense = (image / 255.0)[row[:, None], col[None, :]]
+        assert table.shape[1] <= 11
+        assert table[:, index].tobytes() == dense.tobytes()
+
+    def test_each_column_comes_from_its_nearest_plane(self, f197, tmp_path):
+        rng = np.random.default_rng(6)
+        px.write_pgm(tmp_path / "tile.pgm", rng.integers(0, 256, size=(64, 64)), maxval=255)
+        far = px.ScenePlane(
+            depth_mm=3000.0, texture="file", argument_mm=0.2, path="tile.pgm"
+        )
+        near = px.ScenePlane(depth_mm=1000.0, texture="checker", argument_mm=0.7)
+        banded = px.ScenePlane(
+            depth_mm=1000.0, texture="checker", argument_mm=0.7, band=(-10.0, 5.0)
+        )
+
+        def render(planes):
+            return px.render_synthetic_scene(
+                f197.config, planes, state=f197.state, base_dir=tmp_path, background=0.5
+            ).samples
+
+        both = render([far, banded])
+        from_near = (both == render([near])).all(axis=0)
+        from_far = (both == render([far])).all(axis=0)
+        assert (from_near | from_far).all()
+        assert from_near.any() and from_far.any() and not from_near.all()
