@@ -93,34 +93,27 @@ def sad_cost(
     return float(np.abs(lwin.astype(np.float64) - rwin.astype(np.float64)).sum())
 
 
-def subpixel_refine(cost_minus: float, cost_centre: float, cost_plus: float) -> float:
+def subpixel_refine(
+    cost_minus: float | np.ndarray,
+    cost_centre: float | np.ndarray,
+    cost_plus: float | np.ndarray,
+) -> float | np.ndarray:
     """Fractional offset of the cost parabola's vertex, in (-0.5, 0.5).
 
     Fits a parabola through the costs at shifts d-1, d, d+1 and returns the
     vertex offset (cost_minus - cost_plus) / (2*(cost_minus - 2*cost_centre
-    + cost_plus)), clamped. A flat triple has no curvature and yields 0.
+    + cost_plus)), clamped. A flat triple has no curvature and yields 0; a
+    NaN cost yields NaN. Scalars give a float, arrays an array of their
+    broadcast shape.
     """
-    curvature = cost_minus - 2.0 * cost_centre + cost_plus
-    if curvature <= 0:
-        return 0.0
-    offset = (cost_minus - cost_plus) / (2.0 * curvature)
-    return float(np.clip(offset, -_SUBPIXEL_CLAMP, _SUBPIXEL_CLAMP))
-
-
-def _window_sums(image: np.ndarray, block_size: int) -> np.ndarray:
-    """Sum over every full block_size window, via an integral image.
-
-    Input (h, w) gives output (h - block_size + 1, w - block_size + 1).
-    """
-    integral = np.zeros((image.shape[0] + 1, image.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(image, axis=0), axis=1, out=integral[1:, 1:])
-    b = block_size
-    return (
-        integral[b:, b:]
-        - integral[:-b, b:]
-        - integral[b:, :-b]
-        + integral[:-b, :-b]
+    curvature = np.asarray(cost_minus - 2.0 * cost_centre + cost_plus, dtype=np.float64)
+    offset = np.zeros(curvature.shape)
+    np.divide(
+        np.subtract(cost_minus, cost_plus), 2.0 * curvature, out=offset,
+        where=~(curvature <= 0),
     )
+    np.clip(offset, -_SUBPIXEL_CLAMP, _SUBPIXEL_CLAMP, out=offset)
+    return float(offset) if offset.ndim == 0 else offset
 
 
 def block_match(
@@ -128,10 +121,21 @@ def block_match(
 ) -> DisparityMap:
     """Dense disparity of left against right.
 
-    Winner-take-all over the shift range with ties broken toward the
-    smaller absolute shift, then optional parabolic sub-pixel refinement.
+    Winner-take-all over the shift range, then optional parabolic sub-pixel
+    refinement. Ties go to the smaller |d|, and between -d and +d to -d.
     Pixels whose window leaves either image for any searched shift are
     invalid (NaN); validity never depends on image content.
+
+    Memory: the cost volume of every shift over the valid pixels holds
+    (2*maxd + 1) * (height - 2*half) * (width - 2*margin) * 8 bytes, with
+    half = block_size // 2 and margin = half + maxd; 21 MB for 329x329
+    views at block 29, maxd 16. Everything else is a few single planes.
+
+    Bit stability: each shift runs the same fixed sequence of elementwise
+    float64 passes (absolute difference; integral image by sequential
+    running sums, starting at the first column where the views overlap;
+    window sum as ((A - B) - C) + D), so equal inputs give equal bits on
+    every run.
 
     Args:
         left: Reference view, (height, width).
@@ -142,74 +146,92 @@ def block_match(
         DisparityMap of left's geometry.
 
     Raises:
-        ValueError: The views differ in shape, are not 2-D, or either
-            holds a non-finite value, which would spread through the
-            window sums and leave wrong but finite disparities.
+        ValueError: The views differ in shape, are not 2-D, either holds a
+            non-finite value (it would spread through the window sums and
+            leave wrong but finite disparities), or either holds a value
+            so large that the costs could overflow float64.
     """
     if left.shape != right.shape:
         raise ValueError(f"view sizes differ: {left.shape} vs {right.shape}")
     if left.ndim != 2:
         raise ValueError(f"views must be 2-D, got shape {left.shape}")
-    for name, view in (("left", left), ("right", right)):
-        if not np.isfinite(view).all():
-            raise ValueError(f"{name} view holds non-finite values")
     height, width = left.shape
+    if left.size:
+        # Every integral-image entry and cost is at most
+        # (max|l| + max|r|)*h*w, and the parabola's largest term,
+        # 2*curvature, is at most four costs: 8*max|v|*h*w below the
+        # float64 maximum keeps every intermediate finite.
+        bound = np.finfo(np.float64).max / (8.0 * height * width)
+        for name, view in (("left", left), ("right", right)):
+            top, bottom = float(view.max()), float(view.min())
+            if not (np.isfinite(top) and np.isfinite(bottom)):
+                raise ValueError(f"{name} view holds non-finite values")
+            if max(top, -bottom) > bound:
+                raise ValueError(
+                    f"{name} view magnitude {max(top, -bottom):.6g} exceeds "
+                    f"{bound:.6g} (float64 max / (8*{height}*{width})); "
+                    "its matching costs could overflow"
+                )
     half = params.block_size // 2
     maxd = params.max_disparity
     margin = half + maxd
+    values = np.full((height, width), np.nan)
     if width <= 2 * margin or height <= 2 * half:
-        return DisparityMap(values=np.full((height, width), np.nan))
+        return DisparityMap(values=values)
 
     lf = left.astype(np.float64, copy=False)
     rf = right.astype(np.float64, copy=False)
+
+    b = params.block_size
+    inner_h = height - 2 * half
+    valid_w = width - 2 * margin
+    # costs[d + maxd] covers the valid pixels only: the columns every shift
+    # reaches. integral keeps a zero first row and column for every shift.
+    costs = np.empty((2 * maxd + 1, inner_h, valid_w))
+    diff = np.empty((height, width))
+    integral = np.zeros((height + 1, width + 1))
+    best_cost = np.full((inner_h, valid_w), np.inf)
+    best_shift = np.zeros((inner_h, valid_w), dtype=np.int64)
+    better = np.empty((inner_h, valid_w), dtype=bool)
 
     # Shift order 0, -1, +1, -2, ... so the running argmin keeps the
     # smallest |d| on ties without a second pass.
     shifts = [0]
     for d in range(1, maxd + 1):
         shifts.extend((-d, d))
-
-    inner_h = height - 2 * half
-    inner_w = width - 2 * half
-    best_cost = np.full((inner_h, inner_w), np.inf)
-    best_shift = np.zeros((inner_h, inner_w), dtype=np.int64)
-    neighbor_costs: dict[int, np.ndarray] = {}
     for d in shifts:
+        # Left columns lo.. meet right columns lo - d..; the integral image
+        # starts at lo and stops after the last column a valid window uses.
         lo = max(0, d)
-        hi = width + min(0, d)
-        cost = np.full((inner_h, inner_w), np.inf)
-        sums = _window_sums(np.abs(lf[:, lo:hi] - rf[:, lo - d : hi - d]), params.block_size)
-        cost[:, lo : lo + sums.shape[1]] = sums
-        neighbor_costs[d] = cost
-        better = cost < best_cost
-        best_cost[better] = cost[better]
-        best_shift[better] = d
-
-    values = np.full((height, width), np.nan)
-    inner = values[half : height - half, half : width - half]
-    inner[:] = best_shift
-    # Uniform validity: the full shift range must have been comparable.
-    inner[:, :maxd] = np.nan
-    inner[:, inner_w - maxd :] = np.nan
-
-    if params.subpixel:
-        refinable = (
-            np.isfinite(inner)
-            & (np.abs(best_shift) < maxd)
-            & np.isfinite(best_cost)
+        n = width - maxd - lo
+        k = maxd - lo
+        np.subtract(lf[:, lo : lo + n], rf[:, lo - d : lo - d + n], out=diff[:, :n])
+        np.abs(diff[:, :n], out=diff[:, :n])
+        area = integral[1:, 1 : n + 1]
+        np.cumsum(diff[:, :n], axis=0, out=area)
+        np.cumsum(area, axis=1, out=area)
+        cost = costs[d + maxd]
+        np.subtract(
+            integral[b:, b + k : b + k + valid_w],
+            integral[: height + 1 - b, b + k : b + k + valid_w],
+            out=cost,
         )
-        ys, xs = np.nonzero(refinable)
+        cost -= integral[b:, k : k + valid_w]
+        cost += integral[: height + 1 - b, k : k + valid_w]
+        np.less(cost, best_cost, out=better)
+        np.copyto(best_cost, cost, where=better)
+        np.copyto(best_shift, d, where=better)
+
+    valid = values[half : height - half, margin : width - margin]
+    valid[:] = best_shift
+    if params.subpixel:
+        ys, xs = np.nonzero(np.abs(best_shift) < maxd)
         d_won = best_shift[ys, xs]
-        stack = np.stack([neighbor_costs[d] for d in range(-maxd, maxd + 1)])
-        c_minus = stack[d_won - 1 + maxd, ys, xs]
-        c_centre = best_cost[ys, xs]
-        c_plus = stack[d_won + 1 + maxd, ys, xs]
-        curvature = c_minus - 2.0 * c_centre + c_plus
-        offset = np.zeros(len(ys))
-        curved = curvature > 0
-        offset[curved] = (c_minus[curved] - c_plus[curved]) / (2.0 * curvature[curved])
-        np.clip(offset, -_SUBPIXEL_CLAMP, _SUBPIXEL_CLAMP, out=offset)
-        inner[ys, xs] = d_won + offset
+        valid[ys, xs] = d_won + subpixel_refine(
+            costs[d_won - 1 + maxd, ys, xs],
+            best_cost[ys, xs],
+            costs[d_won + 1 + maxd, ys, xs],
+        )
 
     return DisparityMap(values=values)
 

@@ -226,7 +226,11 @@ def write_pgm(
     path = Path(path)
     if binary:
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        path.write_bytes(header.encode("ascii") + arr.astype(dtype).tobytes())
+        # Stream the samples after the header: joining them into one bytes
+        # object would add two more frame-sized copies (18 MB each for f197).
+        with path.open("wb") as f:
+            f.write(header.encode("ascii"))
+            arr.astype(dtype, copy=False).tofile(f)
     else:
         lines = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
         path.write_text(header + lines + "\n", encoding="ascii")

@@ -1,5 +1,7 @@
 """Block matching, subpixel refinement, and disparity map I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -35,6 +37,97 @@ def brute_force_match(left, right, params):
                 value += px.subpixel_refine(costs[best - 1], costs[best], costs[best + 1])
             out[y, x] = value
     return out
+
+
+def _reference_window_sums(image, block_size):
+    integral = np.zeros((image.shape[0] + 1, image.shape[1] + 1), dtype=np.float64)
+    np.cumsum(np.cumsum(image, axis=0), axis=1, out=integral[1:, 1:])
+    b = block_size
+    return (
+        integral[b:, b:]
+        - integral[:-b, b:]
+        - integral[b:, :-b]
+        + integral[:-b, :-b]
+    )
+
+
+def _reference_block_match(left, right, params):
+    """The matcher before it worked in place: one full cost plane per shift.
+
+    Kept as the bit-exact reference for block_match on finite views.
+    """
+    height, width = left.shape
+    half = params.block_size // 2
+    maxd = params.max_disparity
+    margin = half + maxd
+    if width <= 2 * margin or height <= 2 * half:
+        return np.full((height, width), np.nan)
+
+    lf = left.astype(np.float64, copy=False)
+    rf = right.astype(np.float64, copy=False)
+
+    shifts = [0]
+    for d in range(1, maxd + 1):
+        shifts.extend((-d, d))
+
+    inner_h = height - 2 * half
+    inner_w = width - 2 * half
+    best_cost = np.full((inner_h, inner_w), np.inf)
+    best_shift = np.zeros((inner_h, inner_w), dtype=np.int64)
+    neighbor_costs = {}
+    for d in shifts:
+        lo = max(0, d)
+        hi = width + min(0, d)
+        cost = np.full((inner_h, inner_w), np.inf)
+        sums = _reference_window_sums(
+            np.abs(lf[:, lo:hi] - rf[:, lo - d : hi - d]), params.block_size
+        )
+        cost[:, lo : lo + sums.shape[1]] = sums
+        neighbor_costs[d] = cost
+        better = cost < best_cost
+        best_cost[better] = cost[better]
+        best_shift[better] = d
+
+    values = np.full((height, width), np.nan)
+    inner = values[half : height - half, half : width - half]
+    inner[:] = best_shift
+    inner[:, :maxd] = np.nan
+    inner[:, inner_w - maxd :] = np.nan
+
+    if params.subpixel:
+        refinable = (
+            np.isfinite(inner)
+            & (np.abs(best_shift) < maxd)
+            & np.isfinite(best_cost)
+        )
+        ys, xs = np.nonzero(refinable)
+        d_won = best_shift[ys, xs]
+        stack = np.stack([neighbor_costs[d] for d in range(-maxd, maxd + 1)])
+        c_minus = stack[d_won - 1 + maxd, ys, xs]
+        c_centre = best_cost[ys, xs]
+        c_plus = stack[d_won + 1 + maxd, ys, xs]
+        curvature = c_minus - 2.0 * c_centre + c_plus
+        offset = np.zeros(len(ys))
+        curved = curvature > 0
+        offset[curved] = (c_minus[curved] - c_plus[curved]) / (2.0 * curvature[curved])
+        np.clip(offset, -0.499, 0.499, out=offset)
+        inner[ys, xs] = d_won + offset
+
+    return values
+
+
+@st.composite
+def match_cases(draw):
+    """Finite non-integer views whose width sits at or just past 2*margin."""
+    block = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    maxd = draw(st.integers(1, 6))
+    params = px.MatchParams(block_size=block, max_disparity=maxd, subpixel=draw(st.booleans()))
+    width = 2 * (block // 2 + maxd) + draw(st.integers(0, 3))
+    height = draw(st.integers(1, block + 4))
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    left = draw(hnp.arrays(np.float64, (height, width), elements=floats))
+    right = draw(hnp.arrays(np.float64, (height, width), elements=floats))
+    return left, right, params
 
 
 class TestMatchParams:
@@ -149,6 +242,51 @@ class TestBlockMatch:
         views[side][20, 30] = np.nan
         with pytest.raises(ValueError, match=f"{side} view"):
             px.block_match(views["left"], views["right"], px.MatchParams(block_size=5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=match_cases())
+    def test_bytes_match_reference(self, case):
+        left, right, params = case
+        got = px.block_match(left, right, params).values
+        want = _reference_block_match(left, right, params)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_overflowing_view_rejected(self, side):
+        # Finite but huge views used to overflow the integral image and come
+        # back as 1,632 plausible 0.0 disparities of this 40x60 pair.
+        rng = np.random.default_rng(3)
+        views = {"left": rng.random((40, 60)), "right": rng.random((40, 60))}
+        views[side] = views[side] * 1e307
+        with pytest.raises(ValueError, match=f"{side} view magnitude .* exceeds"):
+            px.block_match(views["left"], views["right"], px.MatchParams(block_size=5))
+
+    def test_views_at_magnitude_bound_stay_finite(self):
+        # The worst case for the bound: windows nearly as large as the view,
+        # opposite signs, so costs approach the integral image's total.
+        rng = np.random.default_rng(4)
+        params = px.MatchParams(block_size=9, max_disparity=2)
+        shape = (9, 14)
+        bound = np.finfo(np.float64).max / (8.0 * shape[0] * shape[1])
+        left = bound * rng.random(shape)
+        left[0, 0] = bound
+        with np.errstate(over="raise", invalid="raise"):
+            d = px.block_match(left, -left, params).values
+        assert np.isfinite(d).sum() == 1 * (shape[1] - 2 * (4 + 2))
+
+    def test_peak_memory_on_lytro_views(self):
+        # 329x329 views at block 29, maxd 16: the cost volume is 21 MB.
+        rng = np.random.default_rng(6)
+        left = rng.random((329, 329))
+        right = np.roll(left, 3, axis=1)
+        params = px.MatchParams(block_size=29, max_disparity=16)
+        tracemalloc.start()
+        try:
+            px.block_match(left, right, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

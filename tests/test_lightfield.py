@@ -117,6 +117,17 @@ class TestPgm:
         assert maxval == 255
         assert np.array_equal(back, img)
 
+    @pytest.mark.parametrize("maxval, dtype", [(255, "u1"), (65535, ">u2")])
+    def test_binary_bytes_of_strided_samples(self, tmp_path, maxval, dtype):
+        # A transposed, every-other-column view: the file holds its rows in
+        # order, big-endian for 16 bits.
+        rng = np.random.default_rng(13)
+        img = rng.integers(0, maxval + 1, size=(12, 7), dtype=np.uint16).T[:, ::2]
+        path = tmp_path / "strided.pgm"
+        px.write_pgm(path, img, maxval=maxval)
+        header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+        assert path.read_bytes() == header + np.ascontiguousarray(img).astype(dtype).tobytes()
+
     def test_ascii_round_trip(self, tmp_path):
         img = np.arange(12, dtype=np.uint16).reshape(3, 4)
         path = tmp_path / "ascii.pgm"
