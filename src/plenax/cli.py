@@ -165,21 +165,11 @@ def cmd_render(args) -> int:
     config = load_config(args.config)
     scene_path = Path(args.scene)
     planes = oracle.parse_scene(scene_path.read_text(encoding="utf-8"))
-    raw = oracle.render_synthetic_scene(config, planes, base_dir=scene_path.parent)
-    lightfield.write_pgm(args.out, _quantize(raw.samples, args.maxval), maxval=args.maxval)
+    raw = oracle.render_synthetic_scene(
+        config, planes, base_dir=scene_path.parent, maxval=args.maxval
+    )
+    lightfield.write_pgm(args.out, raw.samples, maxval=args.maxval)
     return 0
-
-
-def _quantize(samples: np.ndarray, maxval: int) -> np.ndarray:
-    """Clip float samples to [0, 1] and round them onto 0..maxval.
-
-    Works in place on samples, which it overwrites: a rendered raw is the
-    largest array of the run, and whole-frame temporaries would double it.
-    """
-    np.clip(samples, 0.0, 1.0, out=samples)
-    samples *= maxval
-    np.rint(samples, out=samples)
-    return samples.astype(np.uint16 if maxval > 255 else np.uint8)
 
 
 def _report(outcomes, verbose: bool) -> tuple[int, int]:

@@ -10,6 +10,7 @@ sub-aperture view for that offset, one pixel per micro lens.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +43,13 @@ class RawLightFieldImage:
 
 @dataclass(frozen=True)
 class LightField4D:
-    """Decoded samples indexed [j, h, i + c, g + c]."""
+    """Decoded samples indexed [j, h, i + c, g + c].
+
+    The samples are stored view-major, as one C-contiguous array indexed
+    [i + c, g + c, h, j], so each sub-aperture view is a contiguous
+    (count_v, count_h) block. samples is a transposed, read-only view of
+    that storage. Samples given in any other layout are copied into it once.
+    """
 
     samples: np.ndarray
     config: CameraConfig
@@ -54,6 +61,9 @@ class LightField4D:
             raise ValueError(
                 f"samples shape {self.samples.shape} does not match {expected}"
             )
+        views = np.ascontiguousarray(self.samples.transpose(2, 3, 1, 0)).view()
+        views.flags.writeable = False
+        object.__setattr__(self, "samples", views.transpose(3, 2, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,9 @@ def index_invert(k: int, micro_image_px: int) -> tuple[int, int]:
 def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> LightField4D:
     """Reindex a raw capture into the 4-D light field, losslessly.
 
+    Makes one copy of the raw, into the view-major storage LightField4D
+    describes; views extracted from the result share it.
+
     Args:
         raw: Calibrated raw image.
         rotate_180: Rotate the raw by 180 degrees first. Captures are
@@ -107,9 +120,9 @@ def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> LightField4D:
     samples = raw.samples
     if rotate_180:
         samples = samples[::-1, ::-1]
-    # (l, k) -> (h, g', j, i') -> (j, h, i', g')
-    four_d = samples.reshape(count_v, m, count_h, m).transpose(2, 0, 3, 1)
-    return LightField4D(samples=np.ascontiguousarray(four_d), config=raw.config)
+    # (l, k) -> (h, g', j, i') -> view-major (i', g', h, j): the one copy.
+    views = np.ascontiguousarray(samples.reshape(count_v, m, count_h, m).transpose(3, 1, 0, 2))
+    return LightField4D(samples=views.transpose(3, 2, 0, 1), config=raw.config)
 
 
 def flatten(lf: LightField4D) -> RawLightFieldImage:
@@ -122,12 +135,17 @@ def flatten(lf: LightField4D) -> RawLightFieldImage:
 
 
 def extract_view(lf: LightField4D, i: int, g: int) -> SubApertureImage:
-    """Sub-aperture view at offset (i, g), one pixel per micro lens."""
+    """Sub-aperture view at offset (i, g), one pixel per micro lens.
+
+    The pixels are the contiguous (count_v, count_h) block of the light
+    field's view-major storage, read-only and not copied: copy them before
+    changing them.
+    """
     c = lf.config.sensor.half_span
     if abs(i) > c or abs(g) > c:
         raise ValueError(f"viewpoint ({i}, {g}) outside [-{c}, {c}]^2")
-    pixels = lf.samples[:, :, c + i, c + g].T
-    return SubApertureImage(viewpoint=(i, g), pixels=np.ascontiguousarray(pixels))
+    pixels = lf.samples.transpose(2, 3, 1, 0)[c + i, c + g]
+    return SubApertureImage(viewpoint=(i, g), pixels=pixels)
 
 
 def extract_all_views(lf: LightField4D) -> dict[tuple[int, int], SubApertureImage]:
@@ -145,55 +163,91 @@ def view_filename(i: int, g: int) -> str:
     return f"view_{i:+d}_{g:+d}.pgm"
 
 
+def _read_header(f, path) -> tuple[bool, int, int, int]:
+    """Parse magic, width, height and maxval, leaving f at the first sample.
+
+    Tokens are whitespace-separated, with '#' comments running to end of
+    line; the single whitespace byte after maxval is consumed.
+    """
+    magic = f.read(2)
+    if magic not in (b"P2", b"P5"):
+        raise ValueError(f"{path} is not a P2/P5 portable graymap")
+    values = []
+    for field in ("width", "height", "maxval"):
+        token = b""
+        while True:
+            ch = f.read(1)
+            if not ch or ch.isspace():
+                if token:
+                    break
+                if not ch:
+                    raise ValueError(f"{path}: truncated header, no {field}")
+            elif ch == b"#" and not token:
+                f.readline()
+            else:
+                token += ch
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{path}: {field} {token!r} is not an integer") from None
+    width, height, maxval = values
+    for field, value in (("width", width), ("height", height)):
+        if value <= 0:
+            raise ValueError(f"{path}: {field} {value} must be positive")
+    if not (0 < maxval < 65536):
+        raise ValueError(f"{path}: maxval {maxval} outside (0, 65536)")
+    return magic == b"P5", width, height, maxval
+
+
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a portable graymap (P2 ascii or P5 binary).
 
+    A P5 body is read straight into the returned array and byte-swapped in
+    place. Malformed input raises ValueError naming the path and the field:
+    a non-integer or non-positive dimension, a truncated header or body, or
+    a sample above maxval.
+
     Returns:
-        (samples, maxval) with samples as a (height, width) integer array.
+        (samples, maxval) with samples as a (height, width) array, uint16
+        when maxval > 255 and uint8 otherwise.
     """
-    data = Path(path).read_bytes()
-    if data[:2] not in (b"P2", b"P5"):
-        raise ValueError(f"{path} is not a P2/P5 portable graymap")
-    binary = data[:2] == b"P5"
-
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments running to end of line.
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(data):
-            raise ValueError(f"{path}: truncated header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            tokens.append(int(data[pos:end]))
-            pos = end
-    width, height, maxval = tokens
-    if not (0 < maxval < 65536):
-        raise ValueError(f"{path}: maxval {maxval} outside (0, 65536)")
-
-    if binary:
-        pos += 1  # single whitespace byte after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    with open(path, "rb") as f:
+        binary, width, height, maxval = _read_header(f, path)
         count = width * height
-        samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-        samples = samples.astype(np.uint16 if maxval > 255 else np.uint8)
-    else:
-        values = data[pos:].split()
-        if len(values) < width * height:
-            raise ValueError(f"{path}: expected {width * height} samples")
-        samples = np.array(
-            [int(v) for v in values[: width * height]],
-            dtype=np.uint16 if maxval > 255 else np.uint8,
-        )
+        if binary:
+            dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+            available = os.fstat(f.fileno()).st_size - f.tell()
+            if available < count * dtype.itemsize:
+                raise ValueError(
+                    f"{path}: truncated body, {width}x{height} samples need "
+                    f"{count * dtype.itemsize} bytes, {available} present"
+                )
+            samples = np.fromfile(f, dtype=dtype, count=count)
+            if not dtype.isnative:
+                samples = samples.byteswap(inplace=True).view(dtype.newbyteorder())
+            # maxval 255 and 65535 fill the dtype, so no sample can exceed them.
+            if maxval != np.iinfo(dtype).max:
+                peak = int(samples.max())
+                if peak > maxval:
+                    raise ValueError(f"{path}: sample {peak} exceeds maxval {maxval}")
+        else:
+            values = f.read().split()
+            if len(values) < count:
+                raise ValueError(f"{path}: expected {count} samples, got {len(values)}")
+            try:
+                ints = [int(v) for v in values[:count]]
+            except ValueError:
+                raise ValueError(f"{path}: samples must be integers") from None
+            bad = next((v for v in ints if not 0 <= v <= maxval), None)
+            if bad is not None:
+                raise ValueError(f"{path}: sample {bad} outside [0, {maxval}]")
+            samples = np.array(ints, dtype=np.uint16 if maxval > 255 else np.uint8)
     return samples.reshape(height, width), maxval
+
+
+# Rows converted to the file's sample type at a time, so the big-endian copy
+# of a frame never exceeds this many bytes (one row at least).
+_WRITE_BLOCK_BYTES = 1 << 20
 
 
 def write_pgm(
@@ -209,7 +263,8 @@ def write_pgm(
         samples: Nonnegative integer values, each <= maxval.
         maxval: Declared maximum; defaults to 255 or 65535 depending on the
             data's actual maximum.
-        binary: P5 when true, ascii P2 otherwise.
+        binary: P5 when true, ascii P2 otherwise. P5 samples are converted
+            to the file's type in blocks of rows of at most 1 MiB.
     """
     arr = np.asarray(samples)
     if arr.ndim != 2:
@@ -226,11 +281,11 @@ def write_pgm(
     path = Path(path)
     if binary:
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        # Stream the samples after the header: joining them into one bytes
-        # object would add two more frame-sized copies (18 MB each for f197).
+        rows = max(1, _WRITE_BLOCK_BYTES // max(1, width * dtype.itemsize))
         with path.open("wb") as f:
             f.write(header.encode("ascii"))
-            arr.astype(dtype, copy=False).tofile(f)
+            for top in range(0, height, rows):
+                f.write(np.ascontiguousarray(arr[top : top + rows], dtype=dtype))
     else:
         lines = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
         path.write_text(header + lines + "\n", encoding="ascii")

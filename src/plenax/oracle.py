@@ -405,15 +405,21 @@ def render_synthetic_scene(
     state: FocusState | None = None,
     base_dir: str | Path | None = None,
     background: float = 0.0,
+    maxval: int = 65535,
 ) -> RawLightFieldImage:
     """Project textured planes through every viewpoint into a raw mosaic.
 
     Each raw pixel holds the texture value where its traced chief ray meets
     the nearest plane covering it; rays that miss every plane get the
-    background value. Inverse of lightfield.decode by construction: sample
+    background value. Values in [0, 1] are quantized onto 0..maxval as
+    rint(clip(v, 0, 1) * maxval), so the raw comes back as integers, uint16
+    when maxval > 255 and uint8 otherwise: the samples a P5 graymap of that
+    maxval holds. Inverse of lightfield.decode by construction: sample
     (i, g) under lenslet column j, row h lands at mosaic position
     (h * m + c + g, j * m + c + i).
     """
+    if not 0 < maxval < 65536:
+        raise ValueError(f"maxval {maxval} outside (0, 65536)")
     if state is None:
         state = derive_focus_state(config)
     planes = sorted(planes, key=lambda p: p.depth_mm)
@@ -449,7 +455,8 @@ def render_synthetic_scene(
 
     # Every mosaic column takes its texture from the nearest plane covering
     # it, so the raw is one column gather from the planes' stacked tables.
-    # Table column 0 is the background.
+    # Table column 0 is the background. Quantizing the small table before
+    # the gather gives the same integers as quantizing the gathered frame.
     tables = [np.full((height, 1), float(background))]
     index = np.zeros(width, dtype=np.int64)
     owned = np.zeros(width, dtype=bool)
@@ -462,5 +469,19 @@ def render_synthetic_scene(
             table, plane_index = samplers[p](cols[p, free], rows[p])
             index[free] = sum(t.shape[1] for t in tables) + plane_index
             tables.append(table)
-    raw = np.take(np.concatenate(tables, axis=1), index, axis=1)
+    table = _quantize(np.concatenate(tables, axis=1), maxval)
+    del tables  # free the float tables before the frame-sized gather
+    raw = np.take(table, index, axis=1)
     return RawLightFieldImage(samples=raw, config=config)
+
+
+def _quantize(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """Clip float samples to [0, 1] and round them onto 0..maxval.
+
+    Works in place on samples, which it overwrites, and returns the
+    integers as uint16 when maxval > 255, uint8 otherwise.
+    """
+    np.clip(samples, 0.0, 1.0, out=samples)
+    samples *= maxval
+    np.rint(samples, out=samples)
+    return samples.astype(np.uint16 if maxval > 255 else np.uint8)

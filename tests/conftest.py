@@ -36,12 +36,6 @@ def f197(configs, states):
     return SimpleNamespace(config=config, state=state, array=array, z_a=z_a, grid_mm=grid)
 
 
-def quantized_lightfield(raw):
-    # The PGM round trip the CLI performs: 16-bit quantization, then decode.
-    q = np.round(raw.samples * 65535).astype(np.int64)
-    return px.decode(px.RawLightFieldImage(samples=q, config=raw.config))
-
-
 @pytest.fixture(scope="session")
 def checker_lightfield(f197):
     # Period deliberately incommensurate with the view sampling grid: a period
@@ -50,8 +44,9 @@ def checker_lightfield(f197):
     plane = px.ScenePlane(
         depth_mm=CHECKER_DEPTH_MM, texture="checker", argument_mm=6.7 * f197.grid_mm
     )
+    # The renderer returns the 16-bit raw that `plenax render` writes.
     raw = px.render_synthetic_scene(f197.config, [plane], state=f197.state)
-    return quantized_lightfield(raw)
+    return px.decode(raw)
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +71,7 @@ def smooth_lightfield(f197, tmp_path_factory):
     raw = px.render_synthetic_scene(
         f197.config, [plane], state=f197.state, base_dir=tile_dir
     )
-    return quantized_lightfield(raw)
+    return px.decode(raw)
 
 
 def match_views(lf, i_left, i_right, **overrides):

@@ -1,12 +1,14 @@
 """Command line behaviour: outputs, exit codes, and the full pipeline."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import plenax as px
-from plenax.cli import _quantize, main
+from plenax.cli import main
 
 
 def run(capsys, *argv):
@@ -148,18 +150,36 @@ class TestRenderExtractPipeline:
         assert "error:" in err
 
 
-class TestQuantize:
-    @pytest.mark.parametrize("maxval", [255, 65535])
-    def test_matches_round_of_clipped_scale(self, maxval):
-        ties = (np.arange(maxval) + 0.5) / maxval
-        edges = np.array([-np.inf, -1.0, -1e-9, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 7.0, np.inf])
-        samples = np.concatenate([ties, edges, np.linspace(-0.2, 1.2, 1001)])
-        scaled = np.clip(samples, 0.0, 1.0) * maxval
-        assert (scaled % 1.0 == 0.5).sum() > maxval // 2
-        reference = np.round(scaled).astype(np.uint16 if maxval > 255 else np.uint8)
-        got = _quantize(samples.copy(), maxval)
-        assert got.dtype == reference.dtype
-        assert np.array_equal(got, reference)
+class TestRenderBytes:
+    # SHA-256 of the graymap `plenax render` wrote for this scene when it
+    # still rendered a float frame and quantized it afterwards. A seeded
+    # tile with maxval 1000 puts fractional values and rounding on the path.
+    @pytest.mark.parametrize("maxval, digest", [
+        (65535, "09ab42a8b6681cbb1e37e0a34c364d1a3dca031f70bd5a451587c84a2e0c4bed"),
+        (255, "fa0ab54848af960de9b7241ad60c0fe7fd8a7a1503f49699495675a6684a8871"),
+    ])
+    def test_small_scene_bytes_pinned(self, tmp_path, f197_cfg_path, maxval, digest):
+        text = Path(f197_cfg_path).read_text()
+        cfg = tmp_path / "small.cfg"
+        text = text.replace("lenses_h = 281", "lenses_h = 23")
+        cfg.write_text(text.replace("lenses_v = 188", "lenses_v = 16"))
+        rng = np.random.default_rng(2024)
+        px.write_pgm(tmp_path / "tile.pgm", rng.integers(0, 1001, size=(24, 24)), maxval=1000)
+        scene = tmp_path / "scene.txt"
+        scene.write_text("plane 1500 checker 0.9 band -1 1\nplane 2500 file tile.pgm 0.05\n")
+        out = tmp_path / "raw.pgm"
+        assert main(["render", str(cfg), str(scene), str(out), "--maxval", str(maxval)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_maxval_out_of_range_is_an_error(self, capsys, tmp_path, f197_cfg_path):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("plane 1500 checker 0.9\n")
+        code, _, err = run(
+            capsys, "render", f197_cfg_path, str(scene), str(tmp_path / "o.pgm"),
+            "--maxval", "70000",
+        )
+        assert code == 1
+        assert "maxval 70000" in err
 
 
 class TestDisparityCommand:

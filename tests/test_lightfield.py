@@ -1,21 +1,33 @@
 """Raw mosaic decoding, view extraction, and PGM round trips."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import plenax as px
+from plenax.cli import main
 
 
-@pytest.fixture()
-def small_config():
+def rig(m, count_h, count_v):
     return px.CameraConfig(
-        sensor=px.SensorSpec(pixel_pitch_mm=0.009, micro_image_px=5),
-        mla=px.MicroLensSpec(focal_length_mm=2.75, pitch_mm=0.125, count_h=7, count_v=4),
+        sensor=px.SensorSpec(pixel_pitch_mm=0.009, micro_image_px=m),
+        mla=px.MicroLensSpec(
+            focal_length_mm=2.75, pitch_mm=0.125, count_h=count_h, count_v=count_v
+        ),
         main_lens=px.MainLensSpec(
             focal_length_mm=197.1264, exit_pupil_inf_mm=100.5, principal_gap_mm=147.4618
         ),
         focus=px.FocusSetting(px.INFINITY),
     )
+
+
+@pytest.fixture()
+def small_config():
+    return rig(5, 7, 4)
 
 
 @pytest.fixture()
@@ -73,6 +85,67 @@ class TestDecode:
             samples=small_raw.samples[::-1, ::-1].copy(), config=small_raw.config
         )
         assert np.array_equal(rotated.samples, px.decode(flipped).samples)
+
+
+class TestViewMajorDecode:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([3, 5, 7, 9]),
+        count_h=st.sampled_from([1, 3, 5, 7]),
+        count_v=st.integers(1, 6),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.float64]),
+        rotate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_views_match_strided_formula(self, m, count_h, count_v, dtype, rotate, seed):
+        config = rig(m, count_h, count_v)
+        rng = np.random.default_rng(seed)
+        samples = (rng.random((count_v * m, count_h * m)) * 255).astype(dtype)
+        raw = px.RawLightFieldImage(samples=samples, config=config)
+        lf = px.decode(raw, rotate_180=rotate)
+        mosaic = samples[::-1, ::-1] if rotate else samples
+        c = (m - 1) // 2
+        for g in range(-c, c + 1):
+            for i in range(-c, c + 1):
+                pixels = px.extract_view(lf, i, g).pixels
+                assert pixels.flags.c_contiguous and not pixels.flags.writeable
+                assert pixels.shape == (count_v, count_h)
+                assert pixels.tobytes() == np.ascontiguousarray(
+                    mosaic[c + g :: m, c + i :: m]
+                ).tobytes()
+        back = px.flatten(px.decode(raw)).samples
+        assert back.dtype == samples.dtype
+        assert back.tobytes() == samples.tobytes()
+        with pytest.raises(ValueError):
+            lf.samples[0, 0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            px.extract_view(lf, 0, 0).pixels[0, 0] = 1
+
+    def test_views_share_the_decoded_storage(self):
+        # f197 size: the 169 views are slices of one 18 MB array, where the
+        # strided copies they replaced allocated 17.9 MB.
+        config = px.load_fixture("f197_mla2_inf")
+        samples = np.zeros((config.image_height_px, config.image_width_px), dtype=np.uint16)
+        lf = px.decode(px.RawLightFieldImage(samples=samples, config=config))
+        tracemalloc.start()
+        try:
+            views = px.extract_all_views(lf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(views) == 169
+        assert peak < 1e6
+        assert all(np.shares_memory(v.pixels, lf.samples) for v in views.values())
+
+    def test_layout_of_given_samples_is_normalised(self, small_raw, small_config):
+        # A light field built from [j, h, i, g]-contiguous samples is copied
+        # into view-major storage and leaves the caller's array writable.
+        decoded = px.decode(small_raw)
+        given_samples = np.ascontiguousarray(decoded.samples)
+        lf = px.LightField4D(samples=given_samples, config=small_config)
+        assert given_samples.flags.writeable
+        assert np.array_equal(lf.samples, decoded.samples)
+        assert px.extract_view(lf, 1, -2).pixels.flags.c_contiguous
 
 
 class TestViews:
@@ -153,3 +226,94 @@ class TestPgm:
         img = np.array([[300]], dtype=np.uint16)
         with pytest.raises(ValueError):
             px.write_pgm(tmp_path / "over.pgm", img, maxval=255)
+
+
+@st.composite
+def graymap_files(draw):
+    """Graymap bytes, and the samples they hold when well formed, else None."""
+    binary = draw(st.booleans())
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.sampled_from([1, 100, 255, 256, 1000, 65535]))
+    count = width * height
+    values = np.array(
+        draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count))
+    ).reshape(height, width)
+    fields = [str(width), str(height), str(maxval)]
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    defect = draw(st.sampled_from(["none", "trailing", "field", "header", "body", "sample"]))
+    if defect == "sample" and binary and maxval == np.iinfo(dtype).max:
+        defect = "none"  # such a body cannot hold a sample above maxval
+    stored = values.ravel().tolist()
+    if defect == "field":
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["0", "-3", "x", "1.5", "65536"]))
+    elif defect == "sample":
+        stored[draw(st.integers(0, count - 1))] = draw(
+            st.sampled_from([maxval + 1] if binary else [maxval + 1, -1, 10**30])
+        )
+    comment = draw(st.sampled_from(["", "# note\n", "#\n"]))
+    header = f"{'P5' if binary else 'P2'}\n{comment}{' '.join(fields)}\n"
+    if defect == "header":
+        header = f"{'P5' if binary else 'P2'} {' '.join(fields[: draw(st.integers(0, 2))])}"
+    if binary:
+        body = np.array(stored).astype(dtype).tobytes()
+    else:
+        body = " ".join(str(v) for v in stored).encode("ascii") + b"\n"
+    if defect == "body":
+        body = body[: -draw(st.integers(1, 2))] if binary else body.rsplit(b" ", 1)[0]
+        if not binary and count == 1:
+            body = b""
+    elif defect == "trailing":
+        body += draw(st.binary(max_size=8)) if binary else b" 7 x\n"
+    well_formed = defect in ("none", "trailing")
+    return header.encode("ascii") + (b"" if defect == "header" else body), (
+        (values, maxval) if well_formed else None
+    )
+
+
+class TestPgmMalformed:
+    @pytest.mark.parametrize("content, field", [
+        pytest.param(b"P5 -3 2 255\n" + bytes(6), "width -3", id="negative-width"),
+        pytest.param(b"P5 3 0 255\n", "height 0", id="zero-height"),
+        pytest.param(b"P5 x 2 255\n" + bytes(6), "width b'x'", id="non-integer-width"),
+        pytest.param(b"P5 3 2", "no maxval", id="truncated-header"),
+        pytest.param(b"P5 4 4 65535\n" + bytes(10), "truncated body", id="truncated-body"),
+        pytest.param(b"P2 2 1 9\n3 -1\n", "sample -1", id="ascii-negative"),
+        pytest.param(b"P2 2 1 9\n3 10\n", "sample 10", id="ascii-above-maxval"),
+        pytest.param(b"P2 2 1 9\n3 1.5\n", "integers", id="ascii-non-integer"),
+        pytest.param(b"P2 3 1 9\n3 1\n", "expected 3 samples", id="ascii-short"),
+        pytest.param(b"P5 2 1 100\n\x05\xc8", "sample 200 exceeds maxval 100", id="8bit-above"),
+        pytest.param(
+            b"P5 1 1 1000\n\x07\xd0", "sample 2000 exceeds maxval 1000", id="16bit-above"
+        ),
+    ])
+    def test_named_value_error(self, tmp_path, content, field):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            px.read_pgm(path)
+        assert str(path) in str(info.value)
+        assert field in str(info.value)
+
+    def test_cli_reports_out_of_range_ascii_sample(self, capsys, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2 2 1 9\n3 -1\n")
+        code = main(["disparity", str(path), str(path), "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert str(path) in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=graymap_files())
+    def test_reads_exactly_or_names_the_file(self, tmp_path, case):
+        content, expected = case
+        path = tmp_path / "img.pgm"
+        path.write_bytes(content)
+        if expected is None:
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                px.read_pgm(path)
+            return
+        samples, maxval = px.read_pgm(path)
+        values, expected_maxval = expected
+        assert maxval == expected_maxval
+        assert samples.dtype == (np.uint16 if maxval > 255 else np.uint8)
+        assert np.array_equal(samples, values)
