@@ -56,6 +56,9 @@ def cmd_predict(args) -> int:
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
     gaps = _parse_int_list(args.gaps, "--gaps")
+    for gap in gaps:
+        if gap < 1:
+            raise ValueError(f"--gaps must hold gaps >= 1, got {gap}")
     disparities = _parse_float_list(args.disparities, "--disparities")
 
     lines = [

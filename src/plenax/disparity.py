@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 _SUBPIXEL_CLAMP = 0.499
+# Shifts whose integral images block_match sums together in one buffer.
+_SHIFT_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -126,16 +128,26 @@ def block_match(
     Pixels whose window leaves either image for any searched shift are
     invalid (NaN); validity never depends on image content.
 
-    Memory: the cost volume of every shift over the valid pixels holds
-    (2*maxd + 1) * (height - 2*half) * (width - 2*margin) * 8 bytes, with
-    half = block_size // 2 and margin = half + maxd; 21 MB for 329x329
-    views at block 29, maxd 16. Everything else is a few single planes.
+    Memory: no cost volume is kept, so memory does not grow with maxd.
+    Shifts are summed in chunks of four through one integral buffer of
+    (height + 1) * 4 * (width - maxd + 1) * 8 bytes, 3.3 MB for 329x329
+    views at maxd 16. Besides it come a fixed six 8-byte and three 1-byte
+    planes of (height - 2*half) * (width - 2*margin) cells over the valid
+    pixels, with half = block_size // 2 and margin = half + maxd: the
+    current and previous cost, the best cost and shift, the costs of the
+    best shift's two neighbours, and the masks of where this and the
+    previous shift won and of ties.
 
-    Bit stability: each shift runs the same fixed sequence of elementwise
-    float64 passes (absolute difference; integral image by sequential
-    running sums, starting at the first column where the views overlap;
-    window sum as ((A - B) - C) + D), so equal inputs give equal bits on
-    every run.
+    Bit stability: shifts run in ascending order from -maxd to +maxd, and
+    each runs the same fixed sequence of elementwise float64 passes
+    (absolute difference; integral image by sequential running sums down
+    the columns, then along the rows, starting at the first column where
+    the views overlap; window sum as ((A - B) - C) + D), so equal inputs
+    give equal bits on every run. The running argmin applies the tie rule
+    exactly: shift d <= 0 takes a pixel at equal cost, shift d > 0 only
+    from a best below -d. The parabola's neighbour costs are tracked on
+    the way: a pixel's cost at d - 1 is kept when d takes it, its cost at
+    d + 1 when the next shift runs.
 
     Args:
         left: Reference view, (height, width).
@@ -185,52 +197,75 @@ def block_match(
     b = params.block_size
     inner_h = height - 2 * half
     valid_w = width - 2 * margin
-    # costs[d + maxd] covers the valid pixels only: the columns every shift
-    # reaches. integral keeps a zero first row and column for every shift.
-    costs = np.empty((2 * maxd + 1, inner_h, valid_w))
-    diff = np.empty((height, width))
-    integral = np.zeros((height + 1, width + 1))
+    # integral[:, s] is the integral image of shift s of the current chunk,
+    # with a zero first row and column; row-major over (row, shift) so one
+    # add per image row runs the column sums of the whole chunk.
+    integral = np.zeros((height + 1, _SHIFT_CHUNK, width - maxd + 1))
+    # Planes over the valid pixels only: the columns every shift reaches.
+    cost, prev_cost = np.zeros((2, inner_h, valid_w))
     best_cost = np.full((inner_h, valid_w), np.inf)
+    cost_minus = np.zeros((inner_h, valid_w))
+    cost_plus = np.zeros((inner_h, valid_w))
     best_shift = np.zeros((inner_h, valid_w), dtype=np.int64)
-    better = np.empty((inner_h, valid_w), dtype=bool)
+    # won: pixels whose best the current shift took; prev_won: the shift before.
+    won, prev_won = np.zeros((2, inner_h, valid_w), dtype=bool)
+    tie = np.empty((inner_h, valid_w), dtype=bool)
 
-    # Shift order 0, -1, +1, -2, ... so the running argmin keeps the
-    # smallest |d| on ties without a second pass.
-    shifts = [0]
-    for d in range(1, maxd + 1):
-        shifts.extend((-d, d))
-    for d in shifts:
-        # Left columns lo.. meet right columns lo - d..; the integral image
-        # starts at lo and stops after the last column a valid window uses.
-        lo = max(0, d)
-        n = width - maxd - lo
-        k = maxd - lo
-        np.subtract(lf[:, lo : lo + n], rf[:, lo - d : lo - d + n], out=diff[:, :n])
-        np.abs(diff[:, :n], out=diff[:, :n])
-        area = integral[1:, 1 : n + 1]
-        np.cumsum(diff[:, :n], axis=0, out=area)
-        np.cumsum(area, axis=1, out=area)
-        cost = costs[d + maxd]
-        np.subtract(
-            integral[b:, b + k : b + k + valid_w],
-            integral[: height + 1 - b, b + k : b + k + valid_w],
-            out=cost,
-        )
-        cost -= integral[b:, k : k + valid_w]
-        cost += integral[: height + 1 - b, k : k + valid_w]
-        np.less(cost, best_cost, out=better)
-        np.copyto(best_cost, cost, where=better)
-        np.copyto(best_shift, d, where=better)
+    for first in range(-maxd, maxd + 1, _SHIFT_CHUNK):
+        chunk = range(first, min(first + _SHIFT_CHUNK, maxd + 1))
+        block = integral[:, : len(chunk)]
+        for s, d in enumerate(chunk):
+            # Left columns lo.. meet right columns lo - d..; the integral
+            # starts at lo and stops after the last column a valid window
+            # uses. Columns past it are zeroed so they stay finite.
+            lo = max(0, d)
+            n = width - maxd - lo
+            area = block[1:, s, 1 : n + 1]
+            np.subtract(lf[:, lo : lo + n], rf[:, lo - d : lo - d + n], out=area)
+            np.abs(area, out=area)
+            block[1:, s, n + 1 :] = 0.0
+        # Running sum down the columns, row by row: the additions of
+        # np.cumsum(axis=0) in the same order, on every shift at once.
+        for row in range(1, height):
+            np.add(block[row], block[row + 1], out=block[row + 1])
+        np.cumsum(block, axis=2, out=block)
+
+        for s, d in enumerate(chunk):
+            k = maxd - max(0, d)
+            sums = block[:, s]
+            cost, prev_cost = prev_cost, cost
+            won, prev_won = prev_won, won
+            np.subtract(
+                sums[b:, b + k : b + k + valid_w],
+                sums[: height + 1 - b, b + k : b + k + valid_w],
+                out=cost,
+            )
+            cost -= sums[b:, k : k + valid_w]
+            cost += sums[: height + 1 - b, k : k + valid_w]
+            # Where the shift before won, this is its right neighbour.
+            np.copyto(cost_plus, cost, where=prev_won)
+            # Shifts ascend, so on equal cost d <= 0 always has the smaller
+            # |d| and wins; d > 0 wins only over shifts below -d.
+            if d <= 0:
+                np.less_equal(cost, best_cost, out=won)
+            else:
+                np.less(cost, best_cost, out=won)
+                np.equal(cost, best_cost, out=tie)
+                tie &= best_shift < -d
+                won |= tie
+            np.copyto(best_cost, cost, where=won)
+            np.copyto(best_shift, d, where=won)
+            # A new winner's left neighbour is the shift before it.
+            np.copyto(cost_minus, prev_cost, where=won)
 
     valid = values[half : height - half, margin : width - margin]
     valid[:] = best_shift
     if params.subpixel:
-        ys, xs = np.nonzero(np.abs(best_shift) < maxd)
-        d_won = best_shift[ys, xs]
-        valid[ys, xs] = d_won + subpixel_refine(
-            costs[d_won - 1 + maxd, ys, xs],
-            best_cost[ys, xs],
-            costs[d_won + 1 + maxd, ys, xs],
+        np.add(
+            valid,
+            subpixel_refine(cost_minus, best_cost, cost_plus),
+            out=valid,
+            where=np.abs(best_shift) < maxd,
         )
 
     return DisparityMap(values=values)

@@ -227,27 +227,19 @@ def simulate_virtual_cameras(
         state = derive_focus_state(config)
     c = config.sensor.half_span
     count = config.mla.count_h
+    i = np.arange(-c, c + 1, dtype=_TRACE_DTYPE)
     j = np.arange(count, dtype=_TRACE_DTYPE)
 
-    positions = []
-    tilts = []
-    spread = _TRACE_DTYPE(0.0)
-    z_all = []
-    for i in range(-c, c + 1):
-        q, u = _chief_rays(_TRACE_DTYPE(i), j, state, config)
-        z, x = _intersect(q[:-1], u[:-1], q[1:], u[1:])
-        x_mean = x.mean()
-        spread = max(spread, np.abs(x - x_mean).max())
-        z_all.append(z)
-        positions.append(float(x_mean))
-        tilts.append(float(np.arctan(q[(count - 1) // 2])))
-    z_all = np.concatenate(z_all)
-    z_mean = z_all.mean()
-    spread = max(spread, np.abs(z_all - z_mean).max())
+    # Row c + i holds viewpoint i's rays through every lenslet.
+    q, u = _chief_rays(i[:, None], j[None, :], state, config)
+    z, x = _intersect(q[:, :-1], u[:, :-1], q[:, 1:], u[:, 1:])
+    x_mean = x.mean(axis=1)
+    z_mean = z.ravel().mean()
+    spread = max(np.abs(x - x_mean[:, None]).max(), np.abs(z - z_mean).max())
     return VirtualCameraSimulation(
         entrance_pupil_to_h1_mm=float(z_mean),
-        positions_mm=tuple(positions),
-        tilt_angles_rad=tuple(tilts),
+        positions_mm=tuple(float(v) for v in x_mean),
+        tilt_angles_rad=tuple(float(v) for v in np.arctan(q[:, (count - 1) // 2])),
         intersection_spread_mm=float(spread),
     )
 

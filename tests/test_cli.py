@@ -70,6 +70,16 @@ class TestPredict:
         assert code == 0
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("gaps", ["0,2", "2,-1", "0"])
+    def test_gap_below_one_rejected_before_writing(self, capsys, f197_cfg_path, tmp_path, gaps):
+        # "--gaps 0,2" used to exit 0 with a silent row "0,,0.000000,0.000000,".
+        out = tmp_path / "table.csv"
+        code, _, err = run(capsys, "predict", f197_cfg_path, "--gaps", gaps, "--out", str(out))
+        assert code == 1
+        bad = [g for g in gaps.split(",") if int(g) < 1][0]
+        assert err.startswith("error: --gaps") and f"got {bad}" in err
+        assert not out.exists()
+
     def test_bad_config_reports_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[sensor]\npixel_pitch_mm = 0.009\n")

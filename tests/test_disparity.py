@@ -130,6 +130,27 @@ def match_cases(draw):
     return left, right, params
 
 
+@st.composite
+def tie_cases(draw):
+    """Views from {0, 1, 2} or constant views, where equal costs are common.
+
+    Same block, maxd, width and subpixel ranges as match_cases.
+    """
+    block = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    maxd = draw(st.integers(1, 6))
+    params = px.MatchParams(block_size=block, max_disparity=maxd, subpixel=draw(st.booleans()))
+    width = 2 * (block // 2 + maxd) + draw(st.integers(0, 3))
+    height = draw(st.integers(1, block + 4))
+    if draw(st.booleans()):
+        levels = st.sampled_from([0.0, 1.0, 2.0])
+        left = draw(hnp.arrays(np.float64, (height, width), elements=levels))
+        right = draw(hnp.arrays(np.float64, (height, width), elements=levels))
+    else:
+        left = np.full((height, width), draw(st.sampled_from([0.0, 1.0, 2.0])))
+        right = np.full((height, width), draw(st.sampled_from([0.0, 1.0, 2.0])))
+    return left, right, params
+
+
 class TestMatchParams:
     def test_defaults(self):
         p = px.MatchParams()
@@ -251,6 +272,14 @@ class TestBlockMatch:
         want = _reference_block_match(left, right, params)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_cases())
+    def test_bytes_match_reference_on_tied_costs(self, case):
+        left, right, params = case
+        got = px.block_match(left, right, params).values
+        want = _reference_block_match(left, right, params)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_overflowing_view_rejected(self, side):
         # Finite but huge views used to overflow the integral image and come
@@ -275,7 +304,7 @@ class TestBlockMatch:
         assert np.isfinite(d).sum() == 1 * (shape[1] - 2 * (4 + 2))
 
     def test_peak_memory_on_lytro_views(self):
-        # 329x329 views at block 29, maxd 16: the cost volume is 21 MB.
+        # 329x329 views at block 29, maxd 16, as the Lytro bench matches.
         rng = np.random.default_rng(6)
         left = rng.random((329, 329))
         right = np.roll(left, 3, axis=1)
@@ -287,6 +316,28 @@ class TestBlockMatch:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    @staticmethod
+    def _lytro_peak(max_disparity):
+        rng = np.random.default_rng(6)
+        left = rng.random((329, 329))
+        right = np.roll(left, 3, axis=1)
+        params = px.MatchParams(block_size=29, max_disparity=max_disparity)
+        tracemalloc.start()
+        try:
+            px.block_match(left, right, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_peak_memory_does_not_grow_with_search_range(self):
+        # A (2*maxd + 1)-plane cost volume alone is 21 MB at maxd 16 and
+        # 6.2 MB at maxd 4; the chunked matcher holds a fixed few planes.
+        wide = self._lytro_peak(16)
+        narrow = self._lytro_peak(4)
+        assert wide < 16e6
+        assert wide < 1.25 * narrow
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import plenax as px
-from plenax.oracle import _quantize, _texture_sampler
+from plenax.oracle import (
+    _TRACE_DTYPE,
+    _chief_rays,
+    _intersect,
+    _quantize,
+    _texture_sampler,
+)
 
 
 class TestTraceElements:
@@ -74,7 +80,40 @@ class TestLensletElements:
         assert out.slope == 0.0
 
 
+def _loop_simulate_virtual_cameras(config, state):
+    """simulate_virtual_cameras as it was: one chief-ray trace per viewpoint."""
+    c = config.sensor.half_span
+    count = config.mla.count_h
+    j = np.arange(count, dtype=_TRACE_DTYPE)
+    positions = []
+    tilts = []
+    spread = _TRACE_DTYPE(0.0)
+    z_all = []
+    for i in range(-c, c + 1):
+        q, u = _chief_rays(_TRACE_DTYPE(i), j, state, config)
+        z, x = _intersect(q[:-1], u[:-1], q[1:], u[1:])
+        x_mean = x.mean()
+        spread = max(spread, np.abs(x - x_mean).max())
+        z_all.append(z)
+        positions.append(float(x_mean))
+        tilts.append(float(np.arctan(q[(count - 1) // 2])))
+    z_all = np.concatenate(z_all)
+    z_mean = z_all.mean()
+    spread = max(spread, np.abs(z_all - z_mean).max())
+    return px.VirtualCameraSimulation(
+        entrance_pupil_to_h1_mm=float(z_mean),
+        positions_mm=tuple(positions),
+        tilt_angles_rad=tuple(tilts),
+        intersection_spread_mm=float(spread),
+    )
+
+
 class TestVirtualCameraSimulation:
+    def test_broadcast_trace_equals_per_viewpoint_loop(self, configs, states):
+        for name, config in configs.items():
+            got = px.simulate_virtual_cameras(config, states[name])
+            assert got == _loop_simulate_virtual_cameras(config, states[name]), name
+
     def test_matches_closed_form(self, configs, states):
         name = "f193_mla2_3m"
         config, state = configs[name], states[name]
