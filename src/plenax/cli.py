@@ -39,9 +39,12 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     if not text.strip():
         return []
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise SystemExit(f"error: {what} must be a comma-separated number list, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise SystemExit(f"error: {what} must be finite numbers, got {text!r}")
+    return values
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -55,11 +58,12 @@ def cmd_predict(args) -> int:
     config = load_config(args.config)
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
-    gaps = _parse_int_list(args.gaps, "--gaps")
-    for gap in gaps:
-        if gap < 1:
-            raise ValueError(f"--gaps must hold gaps >= 1, got {gap}")
+    try:
+        rigs = [(gap, array.pair(gap)) for gap in _parse_int_list(args.gaps, "--gaps")]
+    except ValueError as exc:
+        raise ValueError(f"--gaps: {exc}") from None
     disparities = _parse_float_list(args.disparities, "--disparities")
+    dx_mm = np.array(disparities) * array.virtual_pixel_pitch_mm
 
     lines = [
         f"# camera: {args.config}",
@@ -69,22 +73,16 @@ def cmd_predict(args) -> int:
         f"# entrance_pupil_mm: {raymodel.entrance_pupil_distance(state, config):.6f}",
         "G,dx,B_mm,Phi_deg,Z_mm",
     ]
-    for gap in gaps:
-        i = -(gap // 2)
-        b = raymodel.baseline(array, i, gap)
-        phi = math.degrees(raymodel.relative_tilt(array, i, gap))
+    for gap, rig in rigs:
+        b = rig.baseline_mm
+        phi = math.degrees(rig.tilt_rad)
         if disparities:
-            for dx in disparities:
-                z = raymodel.triangulate(
-                    array, raymodel.TriangulationQuery(gap=gap, disparity_px=dx)
-                )
+            for dx, z in zip(disparities, raymodel.stereo_depth(rig, dx_mm)):
                 lines.append(f"{gap},{dx:g},{b:.6f},{phi:.6f},{z:.6f}")
         else:
             lines.append(f"{gap},,{b:.6f},{phi:.6f},")
-    if args.pupil_diameter_mm is not None and gaps:
-        widest = max(
-            raymodel.baseline(array, -(gap // 2), gap) for gap in gaps
-        )
+    if args.pupil_diameter_mm is not None and rigs:
+        widest = max(rig.baseline_mm for _, rig in rigs)
         if widest > args.pupil_diameter_mm:
             print(
                 f"warning: widest baseline {widest:.4f} mm exceeds the "
@@ -119,9 +117,7 @@ def cmd_disparity(args, parser: argparse.ArgumentParser) -> int:
     params = disparity.MatchParams(
         block_size=args.block, max_disparity=args.maxd, subpixel=not args.no_subpixel
     )
-    result = disparity.block_match(
-        left.astype(np.float64), right.astype(np.float64), params
-    )
+    result = disparity.block_match(left, right, params)
     header = {
         "left": args.left,
         "right": args.right,
@@ -141,24 +137,14 @@ def cmd_depth(args) -> int:
     config = load_config(args.config)
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
+    rig = array.pair(args.gap)
     values = disparity.read_map_csv(args.disparity)
-
-    i_low = -(args.gap // 2)
-    b = raymodel.baseline(array, i_low, args.gap)
-    phi = raymodel.relative_tilt(array, i_low, args.gap)
-    b_n = array.virtual_image_distance_mm
-    p_n = array.virtual_pixel_pitch_mm
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denominator = values * p_n + b_n * math.tan(phi)
-        depth = np.where(denominator != 0, b_n * b / denominator, np.inf)
-    depth[~np.isfinite(values)] = np.nan
-
+    depth = raymodel.stereo_depth(rig, values * array.virtual_pixel_pitch_mm)
     header = {
         "camera": args.config,
         "gap": args.gap,
-        "baseline_mm": f"{b:.6f}",
-        "tilt_deg": f"{math.degrees(phi):.6f}",
+        "baseline_mm": f"{rig.baseline_mm:.6f}",
+        "tilt_deg": f"{math.degrees(rig.tilt_rad):.6f}",
     }
     disparity.write_map_csv(args.out, depth, header=header)
     return 0

@@ -69,32 +69,6 @@ class DisparityMap:
         return np.isfinite(self.values)
 
 
-def sad_cost(
-    left: np.ndarray,
-    right: np.ndarray,
-    x: int,
-    y: int,
-    d: int,
-    block_size: int,
-) -> float:
-    """Window cost of matching left at (x, y) against right shifted by d.
-
-    Reference implementation, one window at a time. The window must lie
-    fully inside both images after the shift.
-    """
-    if block_size < 1 or block_size % 2 == 0:
-        raise ValueError(f"block_size must be odd, got {block_size}")
-    half = block_size // 2
-    height, width = left.shape
-    if not (half <= y < height - half):
-        raise ValueError(f"row {y} leaves no full window in height {height}")
-    if not (half <= x < width - half and half <= x - d < width - half):
-        raise ValueError(f"column {x} with shift {d} leaves the image")
-    lwin = left[y - half : y + half + 1, x - half : x + half + 1]
-    rwin = right[y - half : y + half + 1, x - d - half : x - d + half + 1]
-    return float(np.abs(lwin.astype(np.float64) - rwin.astype(np.float64)).sum())
-
-
 def subpixel_refine(
     cost_minus: float | np.ndarray,
     cost_centre: float | np.ndarray,

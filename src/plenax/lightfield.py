@@ -82,25 +82,6 @@ class SubApertureImage:
         return self.pixels.shape[0]
 
 
-def index_translate(j: int, i: int, micro_image_px: int) -> int:
-    """Flat sensor index k for micro lens j at viewpoint offset i."""
-    c = (micro_image_px - 1) // 2
-    if abs(i) > c:
-        raise ValueError(f"viewpoint offset {i} outside [-{c}, {c}]")
-    if j < 0:
-        raise ValueError(f"micro lens index must be >= 0, got {j}")
-    return j * micro_image_px + c + i
-
-
-def index_invert(k: int, micro_image_px: int) -> tuple[int, int]:
-    """Micro lens index and viewpoint offset for flat sensor index k."""
-    if k < 0:
-        raise ValueError(f"flat index must be >= 0, got {k}")
-    c = (micro_image_px - 1) // 2
-    j, rem = divmod(k, micro_image_px)
-    return j, rem - c
-
-
 def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> LightField4D:
     """Reindex a raw capture into the 4-D light field, losslessly.
 

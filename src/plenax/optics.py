@@ -12,12 +12,6 @@ from dataclasses import dataclass
 
 INFINITY = math.inf
 
-# Fixed-point solver defaults. The mapping is strongly contracting for any
-# focus distance much larger than the focal length, so 1000 iterations is
-# far more than the handful actually needed.
-_SOLVER_TOL_MM = 1e-9
-_SOLVER_MAX_ITERATIONS = 1000
-
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -194,17 +188,12 @@ class CameraConfig:
     focus: FocusSetting
 
     def __post_init__(self) -> None:
-        if not self.focus.at_infinity:
-            # a_u + b_u = d_f - h1h2 with 1/a_u + 1/b_u = 1/f_u has a real
-            # root b_u only when d_f - h1h2 >= 4 f_u.
-            f_u = self.main_lens.focal_length_mm
-            h1h2 = self.main_lens.principal_gap_mm
-            if self.focus.d_f_mm - h1h2 < 4.0 * f_u:
-                raise ValueError(
-                    f"d_f_mm={self.focus.d_f_mm} is too close to focus: "
-                    f"no real image distance exists below "
-                    f"4*f_u + h1h2 = {4.0 * f_u + h1h2:.4f} mm"
-                )
+        # A focus with no real image distance fails here, at load.
+        solve_image_distance(
+            self.main_lens.focal_length_mm,
+            self.main_lens.principal_gap_mm,
+            self.focus.d_f_mm,
+        )
 
     @property
     def image_width_px(self) -> int:
@@ -272,52 +261,38 @@ def mla_cardinal_points(
 
 
 def solve_image_distance(
-    focal_length_mm: float,
-    principal_gap_mm: float,
-    d_f_mm: float,
-    tol_mm: float = _SOLVER_TOL_MM,
-    max_iterations: int = _SOLVER_MAX_ITERATIONS,
+    focal_length_mm: float, principal_gap_mm: float, d_f_mm: float
 ) -> float:
     """Image distance b_u for a lens focused at a given distance.
 
-    The object distance is a_u = d_f - b_u - principal_gap, which depends on
-    the sought b_u, so the thin lens equation is iterated as a fixed point
-    starting from b_u = focal length. Infinity focus returns the focal
-    length exactly.
+    Object and image distance share the span D = d_f - principal_gap, so
+    a_u = D - b_u and the thin lens equation 1/a_u + 1/b_u = 1/f_u becomes
+    b_u^2 - D * b_u + f_u * D = 0. The smaller root is returned, in the
+    cancellation-free form
+
+        b_u = 2 * f_u / (1 + sqrt(1 - 4 * f_u / D)),
+
+    which is f_u exactly at infinity focus and 2 * f_u exactly at the
+    nearest focusable distance, D = 4 * f_u.
 
     Args:
         focal_length_mm: Main lens focal length f_u.
         principal_gap_mm: Signed principal plane separation.
         d_f_mm: Focus distance from the MLA front vertex, may be math.inf.
-        tol_mm: Convergence threshold on successive iterates.
-        max_iterations: Iteration cap.
-
-    Returns:
-        The converged image distance in mm.
 
     Raises:
-        ValueError: The setting cannot be focused (object distance falls to
-            or below the focal length at some iterate, or no convergence).
+        ValueError: A non-positive focal length, or D < 4 * f_u, where no
+            real image distance exists.
     """
     if not focal_length_mm > 0:
         raise ValueError(f"focal_length_mm must be > 0, got {focal_length_mm}")
-    if math.isinf(d_f_mm):
-        return focal_length_mm
-    b_u = focal_length_mm
-    for _ in range(max_iterations):
-        a_u = d_f_mm - b_u - principal_gap_mm
-        if a_u <= focal_length_mm:
-            raise ValueError(
-                f"unfocusable setting: object distance {a_u:.4f} mm does not "
-                f"exceed the focal length {focal_length_mm} mm"
-            )
-        b_next = 1.0 / (1.0 / focal_length_mm - 1.0 / a_u)
-        if abs(b_next - b_u) < tol_mm:
-            return b_next
-        b_u = b_next
-    raise ValueError(
-        f"image distance iteration did not converge within {max_iterations} steps"
-    )
+    span = d_f_mm - principal_gap_mm
+    if not span >= 4.0 * focal_length_mm:
+        raise ValueError(
+            f"d_f_mm={d_f_mm} is too close to focus: no real image distance "
+            f"exists below 4*f_u + h1h2 = {4.0 * focal_length_mm + principal_gap_mm:.4f} mm"
+        )
+    return 2.0 * focal_length_mm / (1.0 + math.sqrt(1.0 - 4.0 * focal_length_mm / span))
 
 
 def exit_pupil_at_focus(
@@ -350,8 +325,6 @@ def derive_focus_state(config: CameraConfig) -> FocusState:
     d_ap = exit_pupil_at_focus(
         b_u, lens.image_distance_inf_mm, lens.exit_pupil_inf_mm
     )
-    if config.focus.at_infinity:
-        a_u = INFINITY
-    else:
-        a_u = config.focus.d_f_mm - b_u - lens.principal_gap_mm
+    # The object distance closes the span, inf at infinity focus.
+    a_u = config.focus.d_f_mm - b_u - lens.principal_gap_mm
     return FocusState(b_u_mm=b_u, d_ap_mm=d_ap, a_u_mm=a_u)

@@ -99,7 +99,6 @@ class _Geometry:
     pupil_z_mm: float
     main_lens_z_mm: float
     sensor_gap_mm: float  # sensor to first lenslet surface
-    glass_mm: float  # reduced in-glass advance, 0 for a thin lenslet
 
 
 def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
@@ -108,11 +107,11 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
     if mla.thickness_mm is None:
         lens_plane = exit_vertex = f_s
         sensor_gap = f_s
-        glass = 0.0
     else:
         n = mla.refractive_index
-        front = (n - 1.0) / mla.radius_front_mm if math.isfinite(mla.radius_front_mm) else 0.0
-        back = (1.0 - n) / mla.radius_back_mm if math.isfinite(mla.radius_back_mm) else 0.0
+        front_surface, _, back_surface = mla_surface_elements(mla)
+        front = front_surface.power_per_mm
+        back = back_surface.power_per_mm
         power = front + back - front * back * mla.thickness_mm / n
         f = 1.0 / power
         # Vertex offsets of the principal planes; the sensor sits one focal
@@ -122,14 +121,12 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
         sensor_gap = f_s + h2_from_back
         exit_vertex = sensor_gap + mla.thickness_mm
         lens_plane = exit_vertex - h1_from_front
-        glass = mla.thickness_mm / n
     return _Geometry(
         exit_vertex_z_mm=exit_vertex,
         lens_plane_z_mm=lens_plane,
         pupil_z_mm=lens_plane + state.d_ap_mm,
         main_lens_z_mm=lens_plane + state.b_u_mm,
         sensor_gap_mm=sensor_gap,
-        glass_mm=glass,
     )
 
 

@@ -194,13 +194,11 @@ def _evaluate(check: ReferenceCheck, config: CameraConfig, state, array) -> Chec
             )
         got = config.mla.principal_gap_mm
     elif check.kind in ("baseline", "baseline_rounded"):
-        gap = check.args[0]
-        got = raymodel.baseline(array, -(gap // 2), gap)
+        got = array.pair(check.args[0]).baseline_mm
         if check.kind == "baseline_rounded":
             got = round(got, 4)
     elif check.kind == "tilt_deg":
-        gap = check.args[0]
-        got = math.degrees(raymodel.relative_tilt(array, -(gap // 2), gap))
+        got = math.degrees(array.pair(check.args[0]).tilt_rad)
     elif check.kind == "distance":
         gap, dx = check.args
         got = raymodel.triangulate(

@@ -18,18 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 from .optics import CameraConfig, FocusState
-
-INFINITY = math.inf
-
-
-class ReferencePlane(Enum):
-    """Plane a ray's intercept refers to."""
-
-    MLA_PLANE = "mla_plane"
-    MAIN_LENS_OBJECT_SIDE = "main_lens_object_side"
 
 
 @dataclass(frozen=True)
@@ -38,13 +30,12 @@ class ChiefRay:
 
     Attributes:
         slope: Rise in x per unit z.
-        intercept_mm: Height where the ray crosses its reference plane.
-        reference: Which plane z is measured from.
+        intercept_mm: Height where the ray crosses the main lens's
+            object-side principal plane, where z is measured from.
     """
 
     slope: float
     intercept_mm: float
-    reference: ReferencePlane
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept_mm)):
@@ -72,30 +63,28 @@ class StereoRig:
             )
 
 
-def stereo_depth(rig: StereoRig, delta_x_mm: float) -> float:
+def stereo_depth(rig: StereoRig, delta_x_mm: float | np.ndarray) -> float | np.ndarray:
     """Depth of a point from its disparity on a classical stereo rig.
 
     Args:
-        rig: Baseline, image distance, and symmetric inward tilt of the two
+        rig: Baseline, image distance, and relative inward tilt of the two
             cameras.
-        delta_x_mm: Disparity as a physical displacement on the image plane.
+        delta_x_mm: Disparity as a physical displacement on the image plane,
+            a scalar or an array.
 
     Returns:
-        Z = b * B / (dx + b * tan(phi)), or math.inf when the denominator
-        vanishes (the point where the rays run parallel).
+        Z = b * B / (dx + b * tan(phi)) elementwise: inf where the
+        denominator vanishes (the rays run parallel), NaN where dx is not
+        finite. A scalar dx gives a float, an array an array of its shape.
     """
-    denominator = delta_x_mm + rig.image_distance_mm * math.tan(rig.tilt_rad)
-    if denominator == 0:
-        return INFINITY
-    return rig.image_distance_mm * rig.baseline_mm / denominator
-
-
-def convergence_distance(rig: StereoRig) -> float:
-    """Distance where the two tilted optical axes cross (inf if parallel)."""
-    t = math.tan(rig.tilt_rad)
-    if t == 0:
-        return INFINITY
-    return rig.baseline_mm / t
+    dx = np.asarray(delta_x_mm, dtype=np.float64)
+    denominator = dx + rig.image_distance_mm * math.tan(rig.tilt_rad)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = np.where(
+            denominator != 0, rig.image_distance_mm * rig.baseline_mm / denominator, np.inf
+        )
+    depth = np.where(np.isfinite(dx), depth, np.nan)
+    return float(depth) if depth.ndim == 0 else depth
 
 
 def _central_index(config: CameraConfig) -> float:
@@ -149,26 +138,7 @@ def object_ray(j: float, i: int, state: FocusState, config: CameraConfig) -> Chi
     m = chief_slope(j, i, state, config)
     intercept = m * state.b_u_mm + s_j
     slope = m - intercept / config.main_lens.focal_length_mm
-    return ChiefRay(
-        slope=slope,
-        intercept_mm=intercept,
-        reference=ReferencePlane.MAIN_LENS_OBJECT_SIDE,
-    )
-
-
-def exit_pupil_baseline(
-    i: int, gap: int, state: FocusState, config: CameraConfig
-) -> float:
-    """Image-side separation, at the exit pupil plane, of two viewpoints.
-
-    The chief rays of offsets i and i + gap through the central micro lens
-    pierce the exit pupil plane a distance apart that already reveals the
-    baseline before any object-space construction.
-    """
-    o = _central_index(config)
-    m_low = chief_slope(o, i, state, config)
-    m_high = chief_slope(o, i + gap, state, config)
-    return abs(m_high - m_low) * state.d_ap_mm
+    return ChiefRay(slope=slope, intercept_mm=intercept)
 
 
 def entrance_pupil_distance(state: FocusState, config: CameraConfig) -> float:
@@ -249,6 +219,24 @@ class VirtualCameraArray:
         """Optical axis angle Phi_i in radians."""
         return self.tilt_angles_rad[self._offset(i)]
 
+    def pair(self, gap: int) -> StereoRig:
+        """The centred viewpoint pair spanning gap, as a classical stereo rig.
+
+        The pair is viewpoints i and i + gap with i = -floor(gap / 2): valid
+        for every gap in [1, 2c], and the adjacent pair (0, 1) at gap 1. The
+        rig carries the pair's baseline B, the virtual image distance b_n and
+        the relative tilt phi.
+        """
+        span = 2 * self.half_span
+        if not 1 <= gap <= span:
+            raise ValueError(f"gap must lie in [1, {span}], the array's span, got {gap}")
+        i = -(gap // 2)
+        return StereoRig(
+            baseline_mm=baseline(self, i, gap),
+            image_distance_mm=self.virtual_image_distance_mm,
+            tilt_rad=relative_tilt(self, i, gap),
+        )
+
 
 def build_virtual_camera_array(
     state: FocusState, config: CameraConfig, b_n_mm: float = 1.0
@@ -318,17 +306,6 @@ class TriangulationQuery:
             raise ValueError("disparity_px must be finite")
 
 
-def _symmetric_pair(array: VirtualCameraArray, gap: int) -> tuple[int, int]:
-    # Centred pair (-gap//2, gap - gap//2): always valid for gap <= 2c and
-    # matches the adjacent-pair convention (0, 1) at gap 1.
-    i = -(gap // 2)
-    if gap > 2 * array.half_span:
-        raise ValueError(
-            f"gap {gap} exceeds the array's span of {2 * array.half_span}"
-        )
-    return i, i + gap
-
-
 def baseline(array: VirtualCameraArray, i: int, gap: int) -> float:
     """Baseline B_G between viewpoints i and i + gap in mm.
 
@@ -354,7 +331,8 @@ def relative_tilt(array: VirtualCameraArray, i: int, gap: int) -> float:
 def triangulate(array: VirtualCameraArray, query: TriangulationQuery) -> float:
     """Object distance from the entrance pupil for an observed disparity.
 
-    Uses the centred viewpoint pair spanning query.gap. Distances follow
+    Uses the centred viewpoint pair spanning query.gap (see
+    VirtualCameraArray.pair). Distances follow
 
         Z = b_n * B / (dx * p_n + b_n * tan(phi))
 
@@ -365,16 +343,9 @@ def triangulate(array: VirtualCameraArray, query: TriangulationQuery) -> float:
         Z in mm; math.inf when the denominator vanishes (rays parallel); a
         negative value when the rays only intersect behind the cameras.
     """
-    i_low, i_high = _symmetric_pair(array, query.gap)
-    b = baseline(array, i_low, query.gap)
-    phi = abs(array.tilt(i_high) - array.tilt(i_low))
-    b_n = array.virtual_image_distance_mm
-    denominator = query.disparity_px * array.virtual_pixel_pitch_mm + b_n * math.tan(
-        phi
+    return stereo_depth(
+        array.pair(query.gap), query.disparity_px * array.virtual_pixel_pitch_mm
     )
-    if denominator == 0:
-        return INFINITY
-    return b_n * b / denominator
 
 
 def disparity_for_distance(
@@ -388,15 +359,10 @@ def disparity_for_distance(
     """
     if z_mm == 0:
         raise ValueError("z_mm must be nonzero")
-    i_low, i_high = _symmetric_pair(array, gap)
-    b = baseline(array, i_low, gap)
-    phi = abs(array.tilt(i_high) - array.tilt(i_low))
-    b_n = array.virtual_image_distance_mm
-    if math.isinf(z_mm):
-        numerator = -b_n * math.tan(phi)
-    else:
-        numerator = b_n * b / z_mm - b_n * math.tan(phi)
-    return numerator / array.virtual_pixel_pitch_mm
+    rig = array.pair(gap)
+    b_n = rig.image_distance_mm
+    dx_mm = b_n * rig.baseline_mm / z_mm - b_n * math.tan(rig.tilt_rad)
+    return dx_mm / array.virtual_pixel_pitch_mm
 
 
 def measure_baseline(
@@ -409,15 +375,10 @@ def measure_baseline(
     """
     if not z_mm > 0:
         raise ValueError(f"z_mm must be > 0, got {z_mm}")
-    _, i_high = _symmetric_pair(array, query.gap)
-    i_low = i_high - query.gap
-    phi = abs(array.tilt(i_high) - array.tilt(i_low))
-    b_n = array.virtual_image_distance_mm
-    return (
-        z_mm
-        * (query.disparity_px * array.virtual_pixel_pitch_mm + b_n * math.tan(phi))
-        / b_n
-    )
+    rig = array.pair(query.gap)
+    b_n = rig.image_distance_mm
+    dx_mm = query.disparity_px * array.virtual_pixel_pitch_mm
+    return z_mm * (dx_mm + b_n * math.tan(rig.tilt_rad)) / b_n
 
 
 def measure_tilt(
@@ -432,11 +393,9 @@ def measure_tilt(
     """
     if not z_mm > 0:
         raise ValueError(f"z_mm must be > 0, got {z_mm}")
-    b_n = array.virtual_image_distance_mm
-    return math.atan(
-        baseline_mm / z_mm
-        - query.disparity_px * array.virtual_pixel_pitch_mm / b_n
-    )
+    rig = array.pair(query.gap)
+    dx_mm = query.disparity_px * array.virtual_pixel_pitch_mm
+    return math.atan(baseline_mm / z_mm - dx_mm / rig.image_distance_mm)
 
 
 def front_vertex_to_entrance_pupil(v1_h1_mm: float, a_h1_mm: float) -> float:

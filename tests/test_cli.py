@@ -80,6 +80,11 @@ class TestPredict:
         assert err.startswith("error: --gaps") and f"got {bad}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("disparities", ["nan", "1,inf"])
+    def test_non_finite_disparity_rejected(self, f197_cfg_path, disparities):
+        with pytest.raises(SystemExit, match="--disparities must be finite"):
+            main(["predict", f197_cfg_path, "--disparities", disparities])
+
     def test_bad_config_reports_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[sensor]\npixel_pitch_mm = 0.009\n")
@@ -241,6 +246,17 @@ class TestDepthCommand:
         text = out.read_text()
         assert "# gap: 2" in text
         assert "baseline_mm" in text
+
+    @pytest.mark.parametrize("gap", ["0", "-1", "13"])
+    def test_gap_outside_span_rejected_before_writing(self, capsys, tmp_path, f197_cfg_path, gap):
+        # "--gap 0" used to exit 0 with a zero baseline and zero depths.
+        disp = tmp_path / "d.csv"
+        px.write_map_csv(disp, np.array([[1.0]]))
+        out = tmp_path / "z.csv"
+        code, _, err = run(capsys, "depth", f197_cfg_path, str(disp), "--gap", gap, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: gap must lie in [1, 12]") and f"got {gap}" in err
+        assert not out.exists()
 
 
 class TestVerify:

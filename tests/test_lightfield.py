@@ -37,22 +37,6 @@ def small_raw(small_config):
     return px.RawLightFieldImage(samples=samples, config=small_config)
 
 
-class TestIndexing:
-    def test_translate_centres_viewpoint(self):
-        assert px.index_translate(0, 0, 13) == 6
-        assert px.index_translate(3, -2, 13) == 3 * 13 + 4
-
-    def test_translate_invert_round_trip(self):
-        for j in range(5):
-            for i in range(-6, 7):
-                k = px.index_translate(j, i, 13)
-                assert px.index_invert(k, 13) == (j, i)
-
-    def test_out_of_range_offset_rejected(self):
-        with pytest.raises(ValueError):
-            px.index_translate(0, 7, 13)
-
-
 class TestDecode:
     def test_shape_validation(self, small_config):
         with pytest.raises(ValueError):

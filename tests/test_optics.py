@@ -1,10 +1,26 @@
 """Focus solver, pupil bookkeeping, and lenslet prescription reduction."""
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plenax as px
+
+
+def _fixed_point_image_distance(f, gap, d_f, tol=1e-9, max_iterations=1000):
+    """The focus solve before the closed form: b = 1/(1/f - 1/(d_f - b - gap))."""
+    if math.isinf(d_f):
+        return f
+    b = f
+    for _ in range(max_iterations):
+        b_next = 1.0 / (1.0 / f - 1.0 / (d_f - b - gap))
+        if abs(b_next - b) < tol:
+            return b_next
+        b = b_next
+    raise ValueError(f"no convergence within {max_iterations} steps")
 
 
 class TestSolveImageDistance:
@@ -31,6 +47,45 @@ class TestSolveImageDistance:
     def test_non_positive_focal_length_rejected(self):
         with pytest.raises(ValueError):
             px.solve_image_distance(0.0, 0.0, math.inf)
+
+    def test_nearest_focus_is_twice_the_focal_length(self, configs):
+        # D = d_f - h1h2 = 4 f_u is a double root; the fixed point crawled
+        # toward it and gave up after 1000 steps.
+        assert px.solve_image_distance(50.0, 0.0, 200.0) == 100.0
+        config = configs["f197_mla2_inf"]
+        near = dataclasses.replace(config, focus=px.FocusSetting(935.9674))
+        assert px.derive_focus_state(near).b_u_mm == pytest.approx(2 * 197.1264, rel=1e-7)
+        # Just past the bound the root is exact where the loop fell short.
+        assert px.solve_image_distance(50.0, 0.0, 201.0) == pytest.approx(
+            (201.0 - math.sqrt(201.0)) / 2.0, rel=1e-15
+        )
+        with pytest.raises(ValueError, match="too close to focus"):
+            px.solve_image_distance(50.0, 0.0, math.nextafter(200.0, 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        f=st.floats(1.0, 1000.0),
+        gap=st.floats(-300.0, 300.0),
+        ratio=st.one_of(st.just(1.0), st.floats(1.0, 1e6)),
+    )
+    def test_root_satisfies_thin_lens_relation(self, f, gap, ratio):
+        d_f = gap + 4.0 * f * ratio
+        if d_f - gap < 4.0 * f:
+            with pytest.raises(ValueError):
+                px.solve_image_distance(f, gap, d_f)
+            return
+        b = px.solve_image_distance(f, gap, d_f)
+        a = d_f - b - gap
+        assert f <= b <= 2.0 * f
+        assert 1.0 / b + 1.0 / a == pytest.approx(1.0 / f, rel=1e-12)
+
+    def test_agrees_with_fixed_point_on_fixtures(self, configs):
+        for config in configs.values():
+            lens = config.main_lens
+            args = (lens.focal_length_mm, lens.principal_gap_mm, config.focus.d_f_mm)
+            assert px.solve_image_distance(*args) == pytest.approx(
+                _fixed_point_image_distance(*args), abs=1e-9
+            )
 
 
 class TestMlaCardinalPoints:

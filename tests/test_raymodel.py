@@ -34,7 +34,6 @@ class TestChiefRayChain:
 
     def test_object_ray_reference_plane(self, f197):
         ray = px.object_ray(141, 2, f197.state, f197.config)
-        assert ray.reference is px.ReferencePlane.MAIN_LENS_OBJECT_SIDE
         assert ray.height_at(0.0) == ray.intercept_mm
 
     def test_central_ray_at_infinity_is_axial(self, f197):
@@ -189,9 +188,73 @@ class TestStereoRig:
             image_distance_mm=1.0,
             tilt_rad=math.atan(0.00023737670735555832),
         )
-        assert px.convergence_distance(rig) == pytest.approx(3001.4491507063362, abs=1e-6)
+        assert px.stereo_depth(rig, 0.0) == pytest.approx(3001.4491507063362, abs=1e-6)
 
-    def test_exit_pupil_baseline(self, f197):
-        # Image-side spacing of the ray bundles on the exit pupil.
-        b = px.exit_pupil_baseline(0, 1, f197.state, f197.config)
-        assert b == pytest.approx(0.3289, abs=5e-5)
+    def test_array_disparities(self):
+        rig = px.StereoRig(baseline_mm=100.0, image_distance_mm=50.0)
+        dx = np.array([[5.0, 0.0], [np.nan, np.inf], [-np.inf, -5.0]])
+        depth = px.stereo_depth(rig, dx)
+        assert depth.shape == dx.shape
+        assert depth[0, 0] == px.stereo_depth(rig, 5.0) == 1000.0
+        assert depth[0, 1] == np.inf
+        assert np.isnan(depth[1:, 0]).all() and np.isnan(depth[1, 1])
+        assert depth[2, 1] == -1000.0
+        assert math.isnan(px.stereo_depth(rig, math.inf))
+        assert type(px.stereo_depth(rig, 5.0)) is float
+
+
+def _previous_triangulate(array, gap, dx):
+    """triangulate as written before it called stereo_depth: the bit reference."""
+    i_low = -(gap // 2)
+    b = abs(array.position(i_low + gap) - array.position(i_low))
+    phi = abs(array.tilt(i_low + gap) - array.tilt(i_low))
+    b_n = array.virtual_image_distance_mm
+    denominator = dx * array.virtual_pixel_pitch_mm + b_n * math.tan(phi)
+    if denominator == 0:
+        return math.inf
+    return b_n * b / denominator
+
+
+def _previous_depth_map(array, gap, values):
+    """The depth command's map before it called stereo_depth."""
+    i_low = -(gap // 2)
+    b = px.baseline(array, i_low, gap)
+    phi = px.relative_tilt(array, i_low, gap)
+    b_n = array.virtual_image_distance_mm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denominator = values * array.virtual_pixel_pitch_mm + b_n * math.tan(phi)
+        depth = np.where(denominator != 0, b_n * b / denominator, np.inf)
+    depth[~np.isfinite(values)] = np.nan
+    return depth
+
+
+class TestPair:
+    def test_centred_pair(self, configs, states):
+        config, state = configs["f193_mla1_1p5m"], states["f193_mla1_1p5m"]
+        array = px.build_virtual_camera_array(state, config, b_n_mm=2.5)
+        for gap in range(1, 13):
+            rig = array.pair(gap)
+            i = -(gap // 2)
+            assert rig.baseline_mm == abs(array.position(i + gap) - array.position(i))
+            assert rig.tilt_rad == abs(array.tilt(i + gap) - array.tilt(i))
+            assert rig.image_distance_mm == 2.5
+
+    @pytest.mark.parametrize("gap", [0, -1, 13])
+    def test_gap_outside_span_rejected(self, f197, gap):
+        with pytest.raises(ValueError, match=rf"\[1, 12\].*got {gap}"):
+            f197.array.pair(gap)
+
+    def test_kernel_keeps_the_bits(self, configs, states):
+        # triangulate and the depth map both reduce to stereo_depth on
+        # array.pair(gap): the same operations in the same order.
+        values = np.array([-2.75, -1.0, 0.0, 0.5, 1.0, 2.0, 3.3, 16.0, np.nan, np.inf])
+        for name, config in configs.items():
+            for b_n in (0.1, 1.0, 1000.0):
+                array = px.build_virtual_camera_array(states[name], config, b_n_mm=b_n)
+                for gap in range(1, 2 * array.half_span + 1):
+                    for dx in values[:-2]:
+                        got = px.triangulate(array, px.TriangulationQuery(gap, float(dx)))
+                        assert repr(got) == repr(_previous_triangulate(array, gap, float(dx)))
+                    rig = array.pair(gap)
+                    got_map = px.stereo_depth(rig, values * array.virtual_pixel_pitch_mm)
+                    assert got_map.tobytes() == _previous_depth_map(array, gap, values).tobytes()
