@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from pathlib import Path
 
 from .optics import (
@@ -37,6 +38,7 @@ from .optics import (
     MainLensSpec,
     MicroLensSpec,
     SensorSpec,
+    mla_cardinal_points,
 )
 
 
@@ -50,6 +52,23 @@ _ALLOWED = {
     "mla": {"lenses_h", "lenses_v", "pitch_mm", "f_s_mm", *_PRESCRIPTION_KEYS},
     "main_lens": {"f_u_mm", "b_u_inf_mm", "exit_pupil_inf_mm", "h1h2_mm", "v1h1_mm"},
     "focus": {"d_f_mm", "d_f"},
+}
+# Spec fields the file spells differently, so that errors name the key.
+_KEY_OF_FIELD = {
+    "mla": {
+        "focal_length_mm": "f_s_mm",
+        "count_h": "lenses_h",
+        "count_v": "lenses_v",
+        "thickness_mm": "t_mm",
+        "refractive_index": "n",
+        "radius_front_mm": "r1_mm",
+        "radius_back_mm": "r2_mm",
+    },
+    "main_lens": {
+        "focal_length_mm": "f_u_mm",
+        "principal_gap_mm": "h1h2_mm",
+        "front_vertex_to_h1_mm": "v1h1_mm",
+    },
 }
 
 
@@ -96,8 +115,9 @@ def parse_config(text: str, origin: str = "<config>") -> CameraConfig:
             raise ConfigError(
                 f"{origin}: [{section}] {key} = {raw!r} is not a number"
             ) from exc
-        if not allow_inf and not math.isfinite(value):
-            raise ConfigError(f"{origin}: [{section}] {key} must be finite, got {raw!r}")
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            kind = "a number or inf" if allow_inf else "finite"
+            raise ConfigError(f"{origin}: [{section}] {key} must be {kind}, got {raw!r}")
         return value
 
     def get_int(section, key):
@@ -115,7 +135,10 @@ def parse_config(text: str, origin: str = "<config>") -> CameraConfig:
         try:
             return factory(**kwargs)
         except ValueError as exc:
-            raise ConfigError(f"{origin}: [{section}] {exc}") from exc
+            message = str(exc)
+            for field, key in _KEY_OF_FIELD.get(section, {}).items():
+                message = re.sub(rf"\b{field}\b", key, message)
+            raise ConfigError(f"{origin}: [{section}] {message}") from exc
 
     sensor = build(
         SensorSpec,
@@ -132,15 +155,14 @@ def parse_config(text: str, origin: str = "<config>") -> CameraConfig:
     f_s = get_float("mla", "f_s_mm", required=not has_prescription)
     if f_s is None:
         # Nominal focal length defaults to the one the surfaces imply.
-        from .optics import mla_cardinal_points
-
-        focal, _ = mla_cardinal_points(
+        f_s, _ = build(
+            mla_cardinal_points,
+            "mla",
             thickness_mm=get_float("mla", "t_mm"),
             refractive_index=get_float("mla", "n"),
             radius_front_mm=get_float("mla", "r1_mm", allow_inf=True),
             radius_back_mm=get_float("mla", "r2_mm", allow_inf=True),
         )
-        f_s = focal
     mla = build(
         MicroLensSpec,
         "mla",
@@ -166,11 +188,8 @@ def parse_config(text: str, origin: str = "<config>") -> CameraConfig:
 
     if parser.has_option("focus", "d_f_mm") and parser.has_option("focus", "d_f"):
         raise ConfigError(f"{origin}: [focus] give d_f_mm or d_f, not both")
-    key = "d_f_mm" if parser.has_option("focus", "d_f_mm") else "d_f"
+    key = "d_f" if parser.has_option("focus", "d_f") else "d_f_mm"
     d_f = get_float("focus", key, allow_inf=True)
     focus = build(FocusSetting, "focus", d_f_mm=d_f)
-
-    try:
-        return CameraConfig(sensor=sensor, mla=mla, main_lens=main_lens, focus=focus)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+    # A focus the main lens cannot reach fails here.
+    return build(CameraConfig, "focus", sensor=sensor, mla=mla, main_lens=main_lens, focus=focus)

@@ -56,18 +56,6 @@ class DisparityMap:
         if self.values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
 
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
 
 def subpixel_refine(
     cost_minus: float | np.ndarray,

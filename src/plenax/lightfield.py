@@ -73,14 +73,6 @@ class SubApertureImage:
     viewpoint: tuple[int, int]
     pixels: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> LightField4D:
     """Reindex a raw capture into the 4-D light field, losslessly.

@@ -135,6 +135,8 @@ class MainLensSpec:
             raise ValueError(
                 f"exit_pupil_inf_mm must be > 0, got {self.exit_pupil_inf_mm}"
             )
+        if self.b_u_inf_mm is not None and not self.b_u_inf_mm > 0:
+            raise ValueError(f"b_u_inf_mm must be > 0, got {self.b_u_inf_mm}")
 
     @property
     def image_distance_inf_mm(self) -> float:
@@ -231,12 +233,18 @@ def mla_cardinal_points(
     Raises:
         ValueError: Non-physical inputs or zero combined optical power.
     """
+    prescription = (thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
+    if any(math.isnan(v) for v in prescription):
+        raise ValueError("a lens prescription must not contain NaN")
     if thickness_mm < 0:
         raise ValueError(f"thickness_mm must be >= 0, got {thickness_mm}")
     if refractive_index <= 1:
         raise ValueError(f"refractive_index must be > 1, got {refractive_index}")
     if radius_front_mm == 0 or radius_back_mm == 0:
-        raise ValueError("surface radii must be nonzero")
+        raise ValueError(
+            f"surface radii must be nonzero, got radius_front_mm={radius_front_mm}, "
+            f"radius_back_mm={radius_back_mm}"
+        )
     power_front = (
         (refractive_index - 1.0) / radius_front_mm
         if math.isfinite(radius_front_mm)

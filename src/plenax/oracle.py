@@ -30,9 +30,6 @@ import numpy as np
 from .lightfield import RawLightFieldImage, read_pgm
 from .optics import INFINITY, CameraConfig, FocusState, MicroLensSpec, derive_focus_state
 
-# 80-bit floats keep intersection scatter far below the equivalence bounds.
-_TRACE_DTYPE = np.longdouble
-
 
 @dataclass(frozen=True)
 class Translation:
@@ -130,8 +127,8 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
     )
 
 
-def _forward_elements(geom: _Geometry, mla: MicroLensSpec, centers):
-    surfaces = mla_surface_elements(mla, centers)
+def _forward_elements(geom: _Geometry, mla: MicroLensSpec):
+    surfaces = mla_surface_elements(mla)
     if len(surfaces) == 1:
         return (Translation(geom.sensor_gap_mm), surfaces[0])
     front, advance, back = surfaces
@@ -142,19 +139,19 @@ def _forward_elements(geom: _Geometry, mla: MicroLensSpec, centers):
 def _micro_image_centers(s, state: FocusState, config: CameraConfig, geom: _Geometry):
     """Sensor landing points of the pupil-center rays, one per lenslet.
 
-    Traced from the pupil center back through the decentered surfaces; the
+    Traced from the pupil center back through the lenslet surfaces; the
     aiming line passes each lenslet's principal point, which is the traced
-    counterpart of a pinhole at the lenslet center.
+    counterpart of a pinhole at the lenslet center. Heights are measured
+    from the axis of the lenslet at s, so the pupil center sits at -s.
     """
-    surfaces = mla_surface_elements(config.mla, s)
+    surfaces = mla_surface_elements(config.mla)
     lead_in = Translation(geom.pupil_z_mm - geom.exit_vertex_z_mm)
     tail = Translation(geom.sensor_gap_mm)
-    slope = s / np.asarray(state.d_ap_mm, dtype=s.dtype)
-    ray = trace(TracedRay(np.zeros_like(s), slope), (lead_in, *surfaces, tail))
+    ray = trace(TracedRay(-s, s / state.d_ap_mm), (lead_in, *surfaces, tail))
     return ray.height_mm
 
 
-def _chief_rays(i, j, state: FocusState, config: CameraConfig, dtype=_TRACE_DTYPE):
+def _chief_rays(i, j, state: FocusState, config: CameraConfig):
     """Object-space chief rays for micro image samples (i, j).
 
     i and j broadcast. Returns (slope, height at the main lens object-side
@@ -165,16 +162,18 @@ def _chief_rays(i, j, state: FocusState, config: CameraConfig, dtype=_TRACE_DTYP
     object-side line must cross the lenslet principal plane at the lenslet
     center. The trace is affine in the launch slope, so two trial traces
     solve the aim exactly.
-    """
-    i = np.asarray(i, dtype=dtype)
-    j = np.asarray(j, dtype=dtype)
-    offset = dtype((config.mla.count_h - 1) / 2.0)
-    s = (j - offset) * dtype(config.mla.pitch_mm)
-    i, s = np.broadcast_arrays(i, s)
-    geom = _geometry(state, config)
-    u = _micro_image_centers(s, state, config, geom) + i * dtype(config.sensor.pixel_pitch_mm)
 
-    elements = _forward_elements(geom, config.mla, s)
+    Up to the main lens, heights are measured from each lenslet's own axis.
+    A sensor point's rounding error reaches the main lens magnified by
+    b_u / f_s, so it must be a few pixels wide, not up to half the array.
+    """
+    offset = (config.mla.count_h - 1) / 2.0
+    s = (np.asarray(j, dtype=float) - offset) * config.mla.pitch_mm
+    i, s = np.broadcast_arrays(np.asarray(i, dtype=float), s)
+    geom = _geometry(state, config)
+    u = _micro_image_centers(s, state, config, geom) + i * config.sensor.pixel_pitch_mm
+
+    elements = _forward_elements(geom, config.mla)
     reach_back = geom.lens_plane_z_mm - geom.exit_vertex_z_mm
 
     def line_height_at_plane(slope):
@@ -186,10 +185,11 @@ def _chief_rays(i, j, state: FocusState, config: CameraConfig, dtype=_TRACE_DTYP
     gain = h1 - h0
     if np.any(gain == 0):
         raise ValueError("degenerate lenslet geometry, cannot aim chief rays")
-    aimed, out = line_height_at_plane((s - h0) / gain)
+    _, out = line_height_at_plane(-h0 / gain)
 
-    height_at_main = out.height_mm + out.slope * (geom.main_lens_z_mm - geom.exit_vertex_z_mm)
-    slope_obj = out.slope - height_at_main / dtype(config.main_lens.focal_length_mm)
+    reach_main = geom.main_lens_z_mm - geom.exit_vertex_z_mm
+    height_at_main = s + (out.height_mm + out.slope * reach_main)
+    slope_obj = out.slope - height_at_main / config.main_lens.focal_length_mm
     return slope_obj, height_at_main
 
 
@@ -206,8 +206,9 @@ class VirtualCameraSimulation:
     """Brute-force reconstruction of the virtual camera array.
 
     positions_mm[c + i] is viewpoint i; intersection_spread_mm is the widest
-    deviation of any adjacent-lenslet ray crossing from its viewpoint mean,
-    in either coordinate.
+    deviation of any ray crossing from its viewpoint mean, in either
+    coordinate. Each crossing pairs the rays through lenslets count_h // 2
+    apart.
     """
 
     entrance_pupil_to_h1_mm: float
@@ -219,17 +220,23 @@ class VirtualCameraSimulation:
 def simulate_virtual_cameras(
     config: CameraConfig, state: FocusState | None = None
 ) -> VirtualCameraSimulation:
-    """Locate every viewpoint by intersecting all adjacent-lenslet ray pairs."""
+    """Locate every viewpoint by intersecting its rays pairwise.
+
+    The ray through lenslet j is crossed with the ray through lenslet
+    j + count_h // 2. Rays through adjacent lenslets are nearly parallel,
+    so their crossing would magnify float64 rounding by the inverse of
+    their small slope difference; half the array apart keeps the crossings
+    well conditioned and still covers every lenslet.
+    """
     if state is None:
         state = derive_focus_state(config)
     c = config.sensor.half_span
     count = config.mla.count_h
-    i = np.arange(-c, c + 1, dtype=_TRACE_DTYPE)
-    j = np.arange(count, dtype=_TRACE_DTYPE)
+    apart = count // 2
 
     # Row c + i holds viewpoint i's rays through every lenslet.
-    q, u = _chief_rays(i[:, None], j[None, :], state, config)
-    z, x = _intersect(q[:, :-1], u[:, :-1], q[:, 1:], u[:, 1:])
+    q, u = _chief_rays(np.arange(-c, c + 1)[:, None], np.arange(count)[None, :], state, config)
+    z, x = _intersect(q[:, :-apart], u[:, :-apart], q[:, apart:], u[:, apart:])
     x_mean = x.mean(axis=1)
     z_mean = z.ravel().mean()
     spread = max(np.abs(x - x_mean[:, None]).max(), np.abs(z - z_mean).max())
@@ -265,16 +272,13 @@ def simulate_distance(
     if abs(i_low) > config.sensor.half_span or abs(i_low + gap) > config.sensor.half_span:
         raise ValueError(f"gap {gap} exceeds the micro image span")
     centre = (config.mla.count_h - 1) / 2.0
-    q1, u1 = _chief_rays(_TRACE_DTYPE(i_low), _TRACE_DTYPE(centre), state, config)
-    q2, u2 = _chief_rays(
-        _TRACE_DTYPE(i_low + gap), _TRACE_DTYPE(centre) - _TRACE_DTYPE(delta_x_px),
-        state, config,
-    )
+    q1, u1 = _chief_rays(i_low, centre, state, config)
+    q2, u2 = _chief_rays(i_low + gap, centre - delta_x_px, state, config)
     if abs(q1 - q2) <= 1e-12 * max(1.0, abs(q1), abs(q2)):
         return INFINITY
     z = (u2 - u1) / (q1 - q2)
     pupil = simulate_virtual_cameras(config, state).entrance_pupil_to_h1_mm
-    return float(z - _TRACE_DTYPE(pupil))
+    return float(z - pupil)
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +428,11 @@ def render_synthetic_scene(
 
     # x depends only on the mosaic column, y only on the row, so each plane
     # is sampled on an outer product of two 1-D coordinate arrays.
-    qx, ux = _chief_rays(i_all[:, None], j_all[None, :], state, config, dtype=np.float64)
+    qx, ux = _chief_rays(i_all[:, None], j_all[None, :], state, config)
     # Row geometry mirrors column geometry about the (possibly fractional)
     # vertical centre; reuse of the column trace keeps one code path.
     row_offset = (config.mla.count_v - config.mla.count_h) / 2.0
-    qy, uy = _chief_rays(
-        i_all[:, None], h_all[None, :] - row_offset, state, config, dtype=np.float64
-    )
+    qy, uy = _chief_rays(i_all[:, None], h_all[None, :] - row_offset, state, config)
 
     width = config.image_width_px
     height = config.image_height_px

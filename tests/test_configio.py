@@ -1,11 +1,15 @@
 """Config file parsing, schema enforcement, and error reporting."""
 
+import configparser
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plenax as px
-from plenax.configio import ConfigError
+from plenax.configio import _ALLOWED, ConfigError
 
 VALID = """\
 [sensor]
@@ -115,3 +119,108 @@ class TestSchemaErrors:
     def test_nonexistent_path(self, tmp_path):
         with pytest.raises((ConfigError, OSError)):
             px.load_config(tmp_path / "missing.cfg")
+
+
+class TestPrescriptionErrors:
+    # Without f_s_mm the focal length comes from the surfaces, so a bad
+    # surface fails while the nominal focal length is derived.
+    @pytest.mark.parametrize(
+        "edit, key",
+        [(("n = 1.5626", "n = 0.5"), "n"), (("r1_mm = 0.70325", "r1_mm = 0"), "r1_mm")],
+    )
+    def test_derived_focal_length_names_file_and_key(self, tmp_path, edit, key):
+        text = px.fixture_path("f193_mla1_1p5m").read_text()
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace("f_s_mm = 1.25\n", "").replace(*edit))
+        with pytest.raises(ConfigError) as info:
+            px.load_config(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: [mla] ")
+        assert re.search(rf"\b{key}\b", message), message
+
+
+def _with_key(text, section, key, value):
+    """text with key set to value, removed when value is None, added if absent.
+
+    Fixture keys are unique across sections, so a line match is enough.
+    """
+    line = re.compile(rf"^{key}\s*=.*\n", re.M)
+    if line.search(text):
+        return line.sub("" if value is None else f"{key} = {value}\n", text)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def _keys(text):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return [(section, key) for section in parser.sections() for key in parser.options(section)]
+
+
+_INT_KEYS = {"micro_image_px", "lenses_h", "lenses_v"}
+_INF_ALLOWED = {"r1_mm", "r2_mm", "d_f_mm"}
+_POSITIVE_LENGTHS = [
+    ("sensor", "pixel_pitch_mm"),
+    ("mla", "pitch_mm"),
+    ("mla", "f_s_mm"),
+    ("main_lens", "f_u_mm"),
+    ("main_lens", "exit_pupil_inf_mm"),
+    ("main_lens", "b_u_inf_mm"),
+    ("focus", "d_f_mm"),
+]
+
+
+def _not_a_number(value):
+    try:
+        float(value)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def malformed_configs(draw):
+    """(text, section, key): a fixture's text with one key made invalid."""
+    text = px.fixture_path(draw(st.sampled_from(px.fixture_names()))).read_text()
+    keys = _keys(text)
+    case = draw(st.sampled_from(
+        ["missing", "non-numeric", "non-finite", "non-positive", "even", "unknown"]
+    ))
+    if case == "missing":
+        optional = {"v1h1_mm"} | ({"f_s_mm"} if "t_mm" in text else set())
+        section, key = draw(st.sampled_from([k for k in keys if k[1] not in optional]))
+        value = None
+    elif case == "non-numeric":
+        section, key = draw(st.sampled_from(keys))
+        value = draw(st.text("abcxyz_-,", max_size=6).filter(_not_a_number))
+    elif case == "non-finite":
+        section, key = draw(st.sampled_from([k for k in keys if k[1] not in _INT_KEYS]))
+        spellings = ["nan", "NaN"] if key in _INF_ALLOWED else ["nan", "inf", "-inf", "1e400"]
+        value = draw(st.sampled_from(spellings))
+    elif case == "non-positive":
+        lengths = _POSITIVE_LENGTHS + ([("mla", "t_mm")] if "t_mm" in text else [])
+        section, key = draw(st.sampled_from(lengths))
+        top = 0.0 if key != "t_mm" else -1e-9  # a zero thickness is a thin lens
+        value = repr(draw(st.floats(max_value=top, allow_nan=False, allow_infinity=False)))
+    elif case == "even":
+        section, key = draw(st.sampled_from([("sensor", "micro_image_px"), ("mla", "lenses_h")]))
+        value = str(2 * draw(st.integers(-3, 600)))
+    else:
+        section = draw(st.sampled_from(sorted(_ALLOWED)))
+        key = draw(st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True).filter(
+            lambda k: all(k not in allowed for allowed in _ALLOWED.values())
+        ))
+        value = "1.0"
+    return _with_key(text, section, key, value), section, key
+
+
+class TestMalformedConfigs:
+    @settings(max_examples=300, deadline=None)
+    @given(malformed_configs())
+    def test_error_names_section_and_key(self, case):
+        text, section, key = case
+        with pytest.raises(ConfigError) as info:
+            px.parse_config(text, origin="rig.cfg")
+        message = str(info.value)
+        assert message.startswith("rig.cfg: ")
+        assert f"[{section}]" in message, message
+        assert re.search(rf"\b{key}\b", message), message

@@ -263,15 +263,6 @@ class TestBlockMatch:
         inner = mask[hb:-hb, hb + maxd : -(hb + maxd)]
         assert not inner.any()
 
-    def test_disparity_map_accessors(self):
-        rng = np.random.default_rng(9)
-        d = px.block_match(
-            rng.random((20, 30)), rng.random((20, 30)), px.MatchParams(block_size=5, max_disparity=2)
-        )
-        assert d.width == 30 and d.height == 20
-        assert d.valid.shape == (20, 30)
-        assert d.valid.sum() == np.isfinite(d.values).sum()
-
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_non_finite_view_rejected(self, side):
         # One NaN used to spread through the window sums and turn 540 of

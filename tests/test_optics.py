@@ -117,6 +117,17 @@ class TestMlaCardinalPoints:
             # Zero net power has no focal length.
             px.mla_cardinal_points(0.0, 1.5, math.inf, math.inf)
 
+    @pytest.mark.parametrize("field", range(4))
+    def test_nan_prescription_rejected(self, field):
+        # A NaN radius used to pass as a flat surface, a NaN thickness as
+        # a NaN principal gap that MicroLensSpec then accepted.
+        prescription = [1.1, 1.5626, 0.70325, -math.inf]
+        prescription[field] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            px.mla_cardinal_points(*prescription)
+        with pytest.raises(ValueError, match="NaN"):
+            px.MicroLensSpec(1.25, 0.125, 3, 3, *prescription)
+
 
 class TestExitPupil:
     def test_tracks_image_distance_shift(self):

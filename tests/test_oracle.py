@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plenax as px
+from plenax import oracle
 from plenax.oracle import (
-    _TRACE_DTYPE,
     _chief_rays,
     _intersect,
     _quantize,
@@ -84,14 +86,15 @@ def _loop_simulate_virtual_cameras(config, state):
     """simulate_virtual_cameras as it was: one chief-ray trace per viewpoint."""
     c = config.sensor.half_span
     count = config.mla.count_h
-    j = np.arange(count, dtype=_TRACE_DTYPE)
+    apart = count // 2
+    j = np.arange(count)
     positions = []
     tilts = []
-    spread = _TRACE_DTYPE(0.0)
+    spread = 0.0
     z_all = []
     for i in range(-c, c + 1):
-        q, u = _chief_rays(_TRACE_DTYPE(i), j, state, config)
-        z, x = _intersect(q[:-1], u[:-1], q[1:], u[1:])
+        q, u = _chief_rays(i, j, state, config)
+        z, x = _intersect(q[:-apart], u[:-apart], q[apart:], u[apart:])
         x_mean = x.mean()
         spread = max(spread, np.abs(x - x_mean).max())
         z_all.append(z)
@@ -139,6 +142,77 @@ class TestVirtualCameraSimulation:
             for gap in (1, 3, 6):
                 z = px.simulate_distance(config, gap, 0.0, state)
                 assert z + z_a == pytest.approx(state.a_u_mm, rel=1e-9)
+
+
+@st.composite
+def valid_rigs(draw):
+    """Thin-lenslet rigs with odd M of 3-15, odd count_h of 51-401,
+    f_s of 0.02-3 mm, f_u of 20-300 mm, focused at infinity or finitely."""
+    m = 2 * draw(st.integers(1, 7)) + 1
+    count = 2 * draw(st.integers(25, 200)) + 1
+    f_s = draw(st.floats(0.02, 3.0))
+    f_u = draw(st.floats(20.0, 300.0))
+    pixel = draw(st.floats(0.001, 0.01))
+    pitch = m * pixel * draw(st.floats(1.0, 1.1))
+    h1h2 = f_u * draw(st.floats(-0.5, 0.8))
+    # Finite focus runs from just beyond the nearest, 4 f_u + h1h2, outward.
+    reach = draw(st.one_of(st.just(math.inf), st.floats(1.001, 30.0)))
+    return px.CameraConfig(
+        sensor=px.SensorSpec(pixel, m),
+        mla=px.MicroLensSpec(f_s, pitch, count, 1),
+        main_lens=px.MainLensSpec(f_u, f_u * draw(st.floats(0.5, 1.5)), h1h2),
+        focus=px.FocusSetting(reach * (4.0 * f_u + h1h2)),
+    )
+
+
+def _rounding_spread(config, state, sim):
+    """Crossing spread that rounding each traced line to float64 can cause.
+
+    A line's height at the main lens sums the lenslet position and the
+    traced offset from it, and its slope is rounded too. Each error of an
+    ulp moves a crossing by itself over the smallest slope difference of
+    the pairs crossed.
+    """
+    c = config.sensor.half_span
+    count = config.mla.count_h
+    q, u = _chief_rays(np.arange(-c, c + 1)[:, None], np.arange(count)[None, :], state, config)
+    apart = count // 2
+    dq = np.abs(q[:, :-apart] - q[:, apart:]).min()
+    heights = np.abs(u).max() + count * config.mla.pitch_mm / 2
+    z = abs(sim.entrance_pupil_to_h1_mm)
+    return np.finfo(float).eps * (heights + z * np.abs(q).max()) / dq
+
+
+class TestFloat64Agreement:
+    def test_fixture_spread_far_below_the_bound(self, configs, states):
+        for name, config in configs.items():
+            sim = px.simulate_virtual_cameras(config, states[name])
+            assert sim.intersection_spread_mm <= 1e-10, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_rigs())
+    def test_generated_rigs_agree(self, config):
+        outcomes = px.run_consistency_checks(config)
+        assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
+        state = px.derive_focus_state(config)
+        sim = px.simulate_virtual_cameras(config, state)
+        # Within a few ulps of the lines themselves: the trace loses no
+        # precision of its own, wherever the lenslet sits.
+        assert sim.intersection_spread_mm <= 16 * _rounding_spread(config, state, sim)
+
+    def test_spread_check_catches_one_displaced_ray(self, configs, monkeypatch):
+        trace = oracle._chief_rays
+
+        def displaced(i, j, state, config):
+            q, u = trace(i, j, state, config)
+            u = np.array(u)
+            u.flat[u.size // 3] += 2e-9  # mm, twice the bound
+            return q, u
+
+        monkeypatch.setattr(oracle, "_chief_rays", displaced)
+        for name, config in configs.items():
+            failed = [o.label for o in px.run_consistency_checks(config) if not o.passed]
+            assert "ray intersection spread" in failed, name
 
 
 class TestSimulateDistance:
