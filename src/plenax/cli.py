@@ -153,7 +153,11 @@ def cmd_depth(args) -> int:
 def cmd_render(args) -> int:
     config = load_config(args.config)
     scene_path = Path(args.scene)
-    planes = oracle.parse_scene(scene_path.read_text(encoding="utf-8"))
+    try:
+        planes = oracle.parse_scene(scene_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        # A UnicodeDecodeError is a ValueError too, and names no file.
+        raise ValueError(f"{scene_path}: {exc}") from exc
     raw = oracle.render_synthetic_scene(
         config, planes, base_dir=scene_path.parent, maxval=args.maxval
     )

@@ -13,6 +13,8 @@ axes cross come out positive.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,16 +70,109 @@ def subpixel_refine(
     vertex offset (cost_minus - cost_plus) / (2*(cost_minus - 2*cost_centre
     + cost_plus)), clamped. A flat triple has no curvature and yields 0; a
     NaN cost yields NaN. Scalars give a float, arrays an array of their
-    broadcast shape.
+    broadcast shape. The arithmetic is float64 whatever the costs' dtype.
     """
-    curvature = np.asarray(cost_minus - 2.0 * cost_centre + cost_plus, dtype=np.float64)
-    offset = np.zeros(curvature.shape)
-    np.divide(
-        np.subtract(cost_minus, cost_plus), 2.0 * curvature, out=offset,
-        where=~(curvature <= 0),
-    )
+    shape = np.broadcast_shapes(np.shape(cost_minus), np.shape(cost_centre), np.shape(cost_plus))
+    # In place, in float64: (-2*c0 + c-) + c+ has the bits of c- - 2*c0 + c+.
+    curvature = np.multiply(cost_centre, -2.0, out=np.empty(shape))
+    curvature += cost_minus
+    curvature += cost_plus
+    curved = ~(curvature <= 0)
+    offset = np.zeros(shape)
+    np.subtract(cost_minus, cost_plus, out=offset, where=curved, dtype=np.float64)
+    curvature *= 2.0
+    np.divide(offset, curvature, out=offset, where=curved)
     np.clip(offset, -_SUBPIXEL_CLAMP, _SUBPIXEL_CLAMP, out=offset)
     return float(offset) if offset.ndim == 0 else offset
+
+
+def _band_count(rows: int, block: int) -> int:
+    """Row bands for the integer path: one per usable core, each >= block rows."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform, e.g. macOS
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, rows // block))
+
+
+def _holds_integers(view: np.ndarray) -> bool:
+    """True when every value of view is a whole number."""
+    if np.issubdtype(view.dtype, np.integer):
+        return True
+    return np.issubdtype(view.dtype, np.floating) and bool(np.all(np.trunc(view) == view))
+
+
+def _match_rows(
+    left: np.ndarray,
+    right: np.ndarray,
+    b: int,
+    maxd: int,
+    integral: np.ndarray,
+    costs: np.ndarray,
+    best_shift: np.ndarray,
+    masks: np.ndarray,
+) -> None:
+    """Run the shift search for one band of rows, in place.
+
+    left and right hold the band's image rows; costs (five planes),
+    best_shift and masks (four planes) are the band's rows of the valid
+    pixels, and integral its (rows + b, _SHIFT_CHUNK, width - maxd + 1)
+    buffer. Only in-place ufuncs run here, so no buffer is allocated.
+    """
+    width = left.shape[1]
+    rows, valid_w = best_shift.shape
+    cost, prev_cost, best_cost, cost_minus, cost_plus = costs
+    # won: pixels whose best the current shift took; prev_won: the shift before.
+    won, prev_won, tie, below = masks
+    for first in range(-maxd, maxd + 1, _SHIFT_CHUNK):
+        chunk = range(first, min(first + _SHIFT_CHUNK, maxd + 1))
+        block = integral[:, : len(chunk)]
+        for s, d in enumerate(chunk):
+            # Left columns lo.. meet right columns lo - d..; the integral
+            # starts at lo and stops after the last column a valid window
+            # uses. Columns past it are zeroed so they stay finite.
+            lo = max(0, d)
+            n = width - maxd - lo
+            area = block[1:, s, 1 : n + 1]
+            np.subtract(
+                left[:, lo : lo + n], right[:, lo - d : lo - d + n], out=area, dtype=area.dtype
+            )
+            np.abs(area, out=area)
+            block[1:, s, n + 1 :] = 0
+        # Running sum down the columns, row by row: the additions of
+        # np.cumsum(axis=0) in the same order, on every shift at once.
+        image_rows = list(block[1:])
+        for above, row in zip(image_rows, image_rows[1:]):
+            np.add(above, row, out=row)
+        np.cumsum(block, axis=2, dtype=block.dtype, out=block)
+
+        for s, d in enumerate(chunk):
+            k = maxd - max(0, d)
+            sums = block[:, s]
+            cost, prev_cost = prev_cost, cost
+            won, prev_won = prev_won, won
+            np.subtract(
+                sums[b:, b + k : b + k + valid_w], sums[:rows, b + k : b + k + valid_w], out=cost
+            )
+            cost -= sums[b:, k : k + valid_w]
+            cost += sums[:rows, k : k + valid_w]
+            # Where the shift before won, this is its right neighbour.
+            np.copyto(cost_plus, cost, where=prev_won)
+            # Shifts ascend, so on equal cost d <= 0 always has the smaller
+            # |d| and wins; d > 0 wins only over shifts below -d.
+            if d <= 0:
+                np.less_equal(cost, best_cost, out=won)
+            else:
+                np.less(cost, best_cost, out=won)
+                np.equal(cost, best_cost, out=tie)
+                np.less(best_shift, -d, out=below)
+                tie &= below
+                won |= tie
+            # Where d won, its cost is the smaller or an equal one.
+            np.minimum(best_cost, cost, out=best_cost)
+            np.copyto(best_shift, d, where=won)
+            # A new winner's left neighbour is the shift before it.
+            np.copyto(cost_minus, prev_cost, where=won)
 
 
 def block_match(
@@ -90,26 +185,51 @@ def block_match(
     Pixels whose window leaves either image for any searched shift are
     invalid (NaN); validity never depends on image content.
 
+    Exact integer costs: when both views hold only integers (an integer
+    dtype, or a float dtype whose values are all whole), every cost and
+    window sum is an exact integer, so any summation order gives the same
+    costs, argmin, ties and parabola. With span = max(both views) -
+    min(both views), no window sum exceeds span * block_size**2. While that
+    stays below 2**31, the views are shifted by their joint minimum (uint16
+    when span < 2**16, int32 otherwise) and the costs run in int32. The
+    integral image may wrap modulo 2**32, but ((A - B) - C) + D still
+    comes out as the exact window sum. The int32 path is taken only where
+    the float64 path is exact too (every integral entry, at most span *
+    height * width, below 2**53), so both give the same bits. All other
+    views, integers above the int32 bound among them, run in float64.
+
+    Bands: an exact window sum does not depend on the row where its
+    integral image starts. So on the int32 path the valid rows are split
+    into one band per usable core, with at least block_size rows per band.
+    Each band has its own integral buffer and its own rows of the result
+    planes. The calling thread matches the first band and a thread pool
+    made for the call matches the others. Every buffer is allocated in the
+    calling thread before the bands start; the bands run only in-place
+    ufuncs. The float64 path runs as one band in the calling thread.
+
     Memory: no cost volume is kept, so memory does not grow with maxd.
-    Shifts are summed in chunks of four through one integral buffer of
-    (height + 1) * 4 * (width - maxd + 1) * 8 bytes, 3.3 MB for 329x329
-    views at maxd 16. Besides it come a fixed six 8-byte and three 1-byte
-    planes of (height - 2*half) * (width - 2*margin) cells over the valid
-    pixels, with half = block_size // 2 and margin = half + maxd: the
-    current and previous cost, the best cost and shift, the costs of the
-    best shift's two neighbours, and the masks of where this and the
-    previous shift won and of ties.
+    Shifts are summed in chunks of four through one integral buffer per
+    band of (band rows + block_size) * 4 * (width - maxd + 1) cells: for
+    329x329 views at maxd 16, 3.3 MB in float64 and 1.8 MB in two int32
+    bands. Besides it come a fixed five cost planes (8 or 4 bytes), one
+    int32 and four 1-byte planes of (height - 2*half) * (width - 2*margin)
+    cells over the valid pixels, with half = block_size // 2 and margin =
+    half + maxd: the current and previous cost, the best cost, the costs
+    of the best shift's two neighbours, the best shift, and the masks of
+    where this and the previous shift won, of ties and of shifts below -d.
+    The int32 path also holds its two shifted views. The parabola reads
+    the int32 cost planes directly and computes in float64.
 
     Bit stability: shifts run in ascending order from -maxd to +maxd, and
-    each runs the same fixed sequence of elementwise float64 passes
-    (absolute difference; integral image by sequential running sums down
-    the columns, then along the rows, starting at the first column where
-    the views overlap; window sum as ((A - B) - C) + D), so equal inputs
-    give equal bits on every run. The running argmin applies the tie rule
-    exactly: shift d <= 0 takes a pixel at equal cost, shift d > 0 only
-    from a best below -d. The parabola's neighbour costs are tracked on
-    the way: a pixel's cost at d - 1 is kept when d takes it, its cost at
-    d + 1 when the next shift runs.
+    each runs the same fixed sequence of elementwise passes (absolute
+    difference; integral image by sequential running sums down the
+    columns, then along the rows, starting at the first column where the
+    views overlap; window sum as ((A - B) - C) + D), so equal inputs give
+    equal bits on every run and for any number of bands. The running
+    argmin applies the tie rule exactly: shift d <= 0 takes a pixel at
+    equal cost, shift d > 0 only from a best below -d. The parabola's
+    neighbour costs are tracked on the way: a pixel's cost at d - 1 is
+    kept when d takes it, its cost at d + 1 when the next shift runs.
 
     Args:
         left: Reference view, (height, width).
@@ -130,6 +250,7 @@ def block_match(
     if left.ndim != 2:
         raise ValueError(f"views must be 2-D, got shape {left.shape}")
     height, width = left.shape
+    tops, bottoms = [], []
     if left.size:
         # Every integral-image entry and cost is at most
         # (max|l| + max|r|)*h*w, and the parabola's largest term,
@@ -146,83 +267,80 @@ def block_match(
                     f"{bound:.6g} (float64 max / (8*{height}*{width})); "
                     "its matching costs could overflow"
                 )
+            tops.append(top)
+            bottoms.append(bottom)
     half = params.block_size // 2
     maxd = params.max_disparity
     margin = half + maxd
-    values = np.full((height, width), np.nan)
     if width <= 2 * margin or height <= 2 * half:
-        return DisparityMap(values=values)
-
-    lf = left.astype(np.float64, copy=False)
-    rf = right.astype(np.float64, copy=False)
+        return DisparityMap(values=np.full((height, width), np.nan))
 
     b = params.block_size
     inner_h = height - 2 * half
     valid_w = width - 2 * margin
+    offset = min(bottoms)
+    span = max(tops) - offset
+    exact = (
+        span * b * b < 2**31
+        and span * height * width < 2**53
+        and _holds_integers(left)
+        and _holds_integers(right)
+    )
+    if exact:
+        dtype = np.int32
+        # Whole values in float64 minus a whole offset are exact, in
+        # [0, span]: PGM views fit uint16.
+        store = np.uint16 if span < 2**16 else np.int32
+        lv, rv = (
+            np.subtract(v, offset, out=np.empty(v.shape, store), dtype=np.float64, casting="unsafe")
+            for v in (left, right)
+        )
+        bands = _band_count(inner_h, b)
+    else:
+        dtype = np.float64
+        lv = left.astype(np.float64, copy=False)
+        rv = right.astype(np.float64, copy=False)
+        bands = 1
+
+    # Planes over the valid pixels only: the columns every shift reaches.
+    # costs: current, previous and best cost, then the best shift's left
+    # and right neighbour costs.
+    costs = np.zeros((5, inner_h, valid_w), dtype)
+    costs[2] = np.iinfo(dtype).max if exact else np.inf
+    best_shift = np.zeros((inner_h, valid_w), dtype=np.int32)
+    masks = np.zeros((4, inner_h, valid_w), dtype=bool)
+    edges = [inner_h * k // bands for k in range(bands + 1)]
     # integral[:, s] is the integral image of shift s of the current chunk,
     # with a zero first row and column; row-major over (row, shift) so one
     # add per image row runs the column sums of the whole chunk.
-    integral = np.zeros((height + 1, _SHIFT_CHUNK, width - maxd + 1))
-    # Planes over the valid pixels only: the columns every shift reaches.
-    cost, prev_cost = np.zeros((2, inner_h, valid_w))
-    best_cost = np.full((inner_h, valid_w), np.inf)
-    cost_minus = np.zeros((inner_h, valid_w))
-    cost_plus = np.zeros((inner_h, valid_w))
-    best_shift = np.zeros((inner_h, valid_w), dtype=np.int64)
-    # won: pixels whose best the current shift took; prev_won: the shift before.
-    won, prev_won = np.zeros((2, inner_h, valid_w), dtype=bool)
-    tie = np.empty((inner_h, valid_w), dtype=bool)
+    jobs = [
+        (
+            lv[r0 : r1 + b - 1],
+            rv[r0 : r1 + b - 1],
+            b,
+            maxd,
+            np.zeros((r1 - r0 + b, _SHIFT_CHUNK, width - maxd + 1), dtype),
+            costs[:, r0:r1],
+            best_shift[r0:r1],
+            masks[:, r0:r1],
+        )
+        for r0, r1 in zip(edges, edges[1:])
+    ]
+    with ThreadPoolExecutor(max_workers=max(1, bands - 1)) as pool:
+        futures = [pool.submit(_match_rows, *job) for job in jobs[1:]]
+        _match_rows(*jobs[0])
+        for future in futures:
+            future.result()
+    # Free the views, integral buffers and masks before the parabola.
+    del jobs, lv, rv, masks
 
-    for first in range(-maxd, maxd + 1, _SHIFT_CHUNK):
-        chunk = range(first, min(first + _SHIFT_CHUNK, maxd + 1))
-        block = integral[:, : len(chunk)]
-        for s, d in enumerate(chunk):
-            # Left columns lo.. meet right columns lo - d..; the integral
-            # starts at lo and stops after the last column a valid window
-            # uses. Columns past it are zeroed so they stay finite.
-            lo = max(0, d)
-            n = width - maxd - lo
-            area = block[1:, s, 1 : n + 1]
-            np.subtract(lf[:, lo : lo + n], rf[:, lo - d : lo - d + n], out=area)
-            np.abs(area, out=area)
-            block[1:, s, n + 1 :] = 0.0
-        # Running sum down the columns, row by row: the additions of
-        # np.cumsum(axis=0) in the same order, on every shift at once.
-        for row in range(1, height):
-            np.add(block[row], block[row + 1], out=block[row + 1])
-        np.cumsum(block, axis=2, out=block)
-
-        for s, d in enumerate(chunk):
-            k = maxd - max(0, d)
-            sums = block[:, s]
-            cost, prev_cost = prev_cost, cost
-            won, prev_won = prev_won, won
-            np.subtract(
-                sums[b:, b + k : b + k + valid_w],
-                sums[: height + 1 - b, b + k : b + k + valid_w],
-                out=cost,
-            )
-            cost -= sums[b:, k : k + valid_w]
-            cost += sums[: height + 1 - b, k : k + valid_w]
-            # Where the shift before won, this is its right neighbour.
-            np.copyto(cost_plus, cost, where=prev_won)
-            # Shifts ascend, so on equal cost d <= 0 always has the smaller
-            # |d| and wins; d > 0 wins only over shifts below -d.
-            if d <= 0:
-                np.less_equal(cost, best_cost, out=won)
-            else:
-                np.less(cost, best_cost, out=won)
-                np.equal(cost, best_cost, out=tie)
-                tie &= best_shift < -d
-                won |= tie
-            np.copyto(best_cost, cost, where=won)
-            np.copyto(best_shift, d, where=won)
-            # A new winner's left neighbour is the shift before it.
-            np.copyto(cost_minus, prev_cost, where=won)
-
+    values = np.full((height, width), np.nan)
     valid = values[half : height - half, margin : width - margin]
     valid[:] = best_shift
     if params.subpixel:
+        # Integer cost planes are read as they are: the parabola computes
+        # in float64, where they convert exactly.
+        _, _, best_cost, cost_minus, cost_plus = costs
         np.add(
             valid,
             subpixel_refine(cost_minus, best_cost, cost_plus),

@@ -10,6 +10,8 @@ import pytest
 import plenax as px
 from plenax.cli import main
 
+from test_disparity import _reference_block_match
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -155,6 +157,17 @@ class TestRenderExtractPipeline:
         assert code == 1
         assert "error:" in err
 
+    def test_render_names_a_scene_that_is_not_utf8(self, capsys, tmp_path, f197_cfg_path):
+        # The decode error used to print without the file's name.
+        scene = tmp_path / "scene.txt"
+        scene.write_bytes(b"plane 100 checker 4 \xff\n")
+        code, _, err = run(
+            capsys, "render", f197_cfg_path, str(scene), str(tmp_path / "o.pgm")
+        )
+        assert code == 1
+        assert err.startswith(f"error: {scene}: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_render_rejects_bad_scene(self, capsys, tmp_path, f197_cfg_path):
         scene = tmp_path / "scene.txt"
         scene.write_text("plane -5 checker 1\n")
@@ -224,6 +237,34 @@ class TestDisparityCommand:
         finite = values[np.isfinite(values)]
         assert np.all(finite == np.round(finite))
         assert (finite == 1.0).mean() > 0.95
+
+
+    def test_csv_bytes_match_float64_reference(self, tmp_path):
+        # PGM views reach block_match as uint16 and take the int32 path.
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, 65536, size=(45, 70), dtype=np.uint16)
+        left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+        px.write_pgm(left, a, maxval=65535)
+        px.write_pgm(right, np.roll(a, 2, axis=1), maxval=65535)
+        out = tmp_path / "d.csv"
+        code = main([
+            "disparity", str(left), str(right), "--block", "9", "--maxd", "5", "--out", str(out),
+        ])
+        assert code == 0
+        l_view, _ = px.read_pgm(left)
+        r_view, _ = px.read_pgm(right)
+        params = px.MatchParams(block_size=9, max_disparity=5)
+        header = {
+            "left": str(left), "right": str(right), "block": 9, "max_disparity": 5,
+            "subpixel": True,
+        }
+        want = tmp_path / "want.csv"
+        px.write_map_csv(
+            want,
+            _reference_block_match(l_view.astype(np.float64), r_view.astype(np.float64), params),
+            header=header,
+        )
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestDepthCommand:

@@ -1,5 +1,6 @@
 """Block matching, subpixel refinement, and disparity map I/O."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import plenax as px
+from plenax import disparity
 
 from conftest import match_views
 
@@ -218,6 +220,48 @@ class TestSadCost:
         assert sad_cost(left, right, 4, 2, 0, 3) == 0.0
 
 
+@st.composite
+def integer_cases(draw):
+    """Views at the edges of the int32 path, sized like match_cases.
+
+    Negative integer-valued floats and uint8 left with float64 right take
+    the int32 path; integer views with one value moved off an integer by
+    0.5 or 1e-9 take the float64 path.
+    """
+    block = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    maxd = draw(st.integers(1, 6))
+    params = px.MatchParams(block_size=block, max_disparity=maxd, subpixel=draw(st.booleans()))
+    shape = (draw(st.integers(1, block + 4)), 2 * (block // 2 + maxd) + draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([3, 256, 70000]))
+    kind = draw(st.sampled_from(["negative", "mixed", "off_integer"]))
+    if kind == "negative":
+        left, right = (-rng.integers(0, levels, shape).astype(np.float64) for _ in range(2))
+    elif kind == "mixed":
+        left = rng.integers(0, min(levels, 256), shape, dtype=np.uint8)
+        right = rng.integers(0, min(levels, 256), shape).astype(np.float64)
+    else:
+        left, right = (rng.integers(0, levels, shape).astype(np.float64) for _ in range(2))
+        moved = draw(st.sampled_from([left, right]))
+        moved[rng.integers(0, shape[0]), rng.integers(0, shape[1])] += draw(
+            st.sampled_from([0.5, 1e-9])
+        )
+    return left, right, params
+
+
+@st.composite
+def banded_cases(draw):
+    """Integer views up to 30 valid rows: up to 7 bands, many below block rows."""
+    block = draw(st.sampled_from([1, 3, 5, 7, 9]))
+    maxd = draw(st.integers(1, 6))
+    params = px.MatchParams(block_size=block, max_disparity=maxd, subpixel=draw(st.booleans()))
+    shape = (block - 1 + draw(st.integers(1, 30)), 2 * (block // 2 + maxd) + draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([3, 65536]))
+    left, right = (rng.integers(0, levels, shape, dtype=np.uint16) for _ in range(2))
+    return left, right, params
+
+
 class TestBlockMatch:
     def test_matches_brute_force_on_random_images(self):
         rng = np.random.default_rng(123)
@@ -328,11 +372,7 @@ class TestBlockMatch:
         assert peak < 40e6
 
     @staticmethod
-    def _lytro_peak(max_disparity):
-        rng = np.random.default_rng(6)
-        left = rng.random((329, 329))
-        right = np.roll(left, 3, axis=1)
-        params = px.MatchParams(block_size=29, max_disparity=max_disparity)
+    def _traced_peak(left, right, params):
         tracemalloc.start()
         try:
             px.block_match(left, right, params)
@@ -341,6 +381,14 @@ class TestBlockMatch:
             tracemalloc.stop()
         return peak
 
+    @classmethod
+    def _lytro_peak(cls, max_disparity):
+        rng = np.random.default_rng(6)
+        left = rng.random((329, 329))
+        right = np.roll(left, 3, axis=1)
+        params = px.MatchParams(block_size=29, max_disparity=max_disparity)
+        return cls._traced_peak(left, right, params)
+
     def test_peak_memory_does_not_grow_with_search_range(self):
         # A (2*maxd + 1)-plane cost volume alone is 21 MB at maxd 16 and
         # 6.2 MB at maxd 4; the chunked matcher holds a fixed few planes.
@@ -348,6 +396,79 @@ class TestBlockMatch:
         narrow = self._lytro_peak(4)
         assert wide < 16e6
         assert wide < 1.25 * narrow
+
+    def test_integer_views_peak_a_third_below_float64(self):
+        # uint16 Lytro-sized views take the int32 path: int32 costs and
+        # integral buffers, uint16 shifted views. The same views plus 0.5
+        # take the float64 path.
+        rng = np.random.default_rng(6)
+        left = rng.integers(0, 65536, size=(329, 329), dtype=np.uint16)
+        right = np.roll(left, 3, axis=1)
+        left_float, right_float = left + 0.5, right + 0.5
+        params = px.MatchParams(block_size=29, max_disparity=16)
+        with pytest.MonkeyPatch.context() as patch:
+            # Two bands, as on a two-core host; each band adds block_size
+            # rows of integral buffer, so the peak depends on the count.
+            patch.setattr(disparity, "_band_count", lambda rows, block: 2)
+            integer_peak = self._traced_peak(left, right, params)
+        float_peak = self._traced_peak(left_float, right_float, params)
+        assert integer_peak < float_peak * 2 / 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=integer_cases())
+    def test_integer_edge_cases_match_reference(self, case):
+        left, right, params = case
+        got = px.block_match(left, right, params).values
+        want = _reference_block_match(left, right, params)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        block=st.sampled_from([181, 183]),
+        maxd=st.integers(1, 3),
+        extra=st.tuples(st.integers(0, 3), st.integers(1, 3)),
+        pattern=st.sampled_from(["bits", "opposite"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_int32_bound(self, block, maxd, extra, pattern, seed):
+        # 65535 * 181**2 is just below 2**31, 65535 * 183**2 above it: the
+        # first takes the int32 path, the second float64. "opposite" puts
+        # every window sum at 65535 * block**2.
+        shape = (block + extra[0], 2 * (block // 2 + maxd) + extra[1])
+        if pattern == "bits":
+            rng = np.random.default_rng(seed)
+            left, right = (rng.integers(0, 2, shape, dtype=np.uint16) * 65535 for _ in range(2))
+        else:
+            left = np.full(shape, 65535, dtype=np.uint16)
+            right = np.zeros(shape, dtype=np.uint16)
+        params = px.MatchParams(block_size=block, max_disparity=maxd)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            # The band count is asked for on the int32 path only.
+            patch.setattr(
+                disparity, "_band_count", lambda rows, b: calls.append(rows) or 2
+            )
+            got = px.block_match(left, right, params).values
+        assert len(calls) == (block == 181)
+        want = _reference_block_match(left, right, params)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bands", [1, 2, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(case=banded_cases())
+    def test_band_count_does_not_change_bytes(self, bands, case):
+        left, right, params = case
+        interval = sys.getswitchinterval()
+        # Switch threads often, so bands that shared a row would show it.
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(disparity, "_band_count", lambda rows, block: bands)
+                got = px.block_match(left, right, params).values
+        finally:
+            sys.setswitchinterval(interval)
+        want = _reference_block_match(left, right, params)
+        assert got.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Surface-by-surface ray trace checks and the synthetic scene renderer."""
 
 import math
+import string
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,73 @@ class TestSimulateDistance:
             px.simulate_distance(configs["f197_mla2_inf"], 13, 1.0)
 
 
+_TOKEN = st.text(string.ascii_letters + string.digits + "._-+/", min_size=1, max_size=8)
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def scene_lines(draw):
+    """One scene line as (text, what parse_scene must make of it).
+
+    The second item is the ScenePlane a valid line describes, "skip" for a
+    blank or comment line, and None for a line that must be rejected.
+    """
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["", "   ", "# note", "  # plane 5 checker 1"])), "skip"
+    depth = draw(st.floats(1e-3, 1e6))
+    scale = draw(st.floats(1e-6, 1e3))
+    kind = draw(st.sampled_from(["checker", "file"]))
+    path = draw(_TOKEN) if kind == "file" else None
+    band = None
+    if draw(st.booleans()):
+        band = tuple(sorted(draw(st.sets(st.floats(-1e4, 1e4), min_size=2, max_size=2))))
+    tokens = ["plane", repr(depth), kind] + ([path] if path else []) + [repr(scale)]
+    scale_at = len(tokens) - 1
+    if band:
+        tokens += ["band", repr(band[0]), repr(band[1])]
+    numbers = [1, scale_at] + ([len(tokens) - 2, len(tokens) - 1] if band else [])
+    fault = draw(st.sampled_from([
+        None, None, None, "keyword", "truncated", "not_a_number", "non_positive",
+        "non_finite", "kind", "trailing", "empty_band",
+    ]))
+    if fault == "keyword":
+        tokens[0] = draw(_TOKEN.filter(lambda t: t != "plane"))
+    elif fault == "truncated":
+        tokens = tokens[: draw(st.integers(1, scale_at))]
+    elif fault == "not_a_number":
+        tokens[draw(st.sampled_from(numbers))] = draw(_TOKEN.filter(lambda t: not _is_number(t)))
+    elif fault == "non_positive":
+        value = draw(st.floats(max_value=0.0, allow_infinity=False))
+        tokens[draw(st.sampled_from([1, scale_at]))] = repr(value)
+    elif fault == "non_finite":
+        value = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+        tokens[draw(st.sampled_from([1, scale_at]))] = value
+    elif fault == "kind":
+        tokens[2] = draw(_TOKEN.filter(lambda t: t not in ("checker", "file")))
+    elif fault == "trailing":
+        word = draw(_TOKEN.filter(lambda t: t != "band"))
+        tokens += draw(st.sampled_from([
+            [word], ["band", "1"], ["band", "1", "2", "3"], [word, "1", "2"],
+        ]))
+    elif fault == "empty_band":
+        edge = draw(st.floats(-1e4, 1e4))
+        tokens = tokens[: scale_at + 1] + ["band", repr(edge), repr(edge - draw(st.floats(0, 10)))]
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    text = draw(st.sampled_from(["", " "])) + sep.join(tokens)
+    if fault is not None:
+        return text, None
+    return text, px.ScenePlane(
+        depth_mm=depth, texture=kind, argument_mm=scale, path=path, band=band
+    )
+
+
 class TestSceneParsing:
     def test_checker_and_file_planes(self):
         planes = px.parse_scene(
@@ -255,6 +323,24 @@ class TestSceneParsing:
             px.parse_scene("plane 100 checker 4\nplane nope checker 4\n")
         with pytest.raises(ValueError, match="line 1"):
             px.parse_scene("plane 100 marble 4\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lines=st.lists(scene_lines(), min_size=1, max_size=6),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_lines_parse_exactly_or_are_named(self, lines, newline):
+        text = newline.join(line for line, _ in lines)
+        bad = [n for n, (_, want) in enumerate(lines, start=1) if want is None]
+        planes = tuple(want for _, want in lines if isinstance(want, px.ScenePlane))
+        if bad:
+            with pytest.raises(ValueError, match=rf"^scene line {bad[0]}: "):
+                px.parse_scene(text)
+        elif planes:
+            assert px.parse_scene(text) == planes
+        else:
+            with pytest.raises(ValueError, match="^scene describes no planes$"):
+                px.parse_scene(text)
 
     def test_plane_validation(self):
         with pytest.raises(ValueError):
