@@ -97,10 +97,10 @@ def cmd_extract(args) -> int:
     config = load_config(args.config)
     samples, maxval = lightfield.read_pgm(args.raw)
     raw = lightfield.RawLightFieldImage(samples=samples, config=config)
-    lf = lightfield.decode(raw, rotate_180=args.rotate_180)
+    decoded = lightfield.decode(raw, rotate_180=args.rotate_180)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    views = lightfield.extract_all_views(lf)
+    views = lightfield.extract_all_views(decoded)
     for (i, g), view in sorted(views.items()):
         lightfield.write_pgm(
             out_dir / lightfield.view_filename(i, g), view.pixels, maxval=maxval

@@ -19,7 +19,7 @@ A camera is described by a small sectioned key/value document:
     v1h1_mm = 383.41         # optional
 
     [focus]
-    d_f_mm = inf             # or a distance in mm; key d_f is accepted too
+    d_f_mm = inf             # or a distance in mm
 
 Unknown sections or keys are rejected so that typos surface as errors
 instead of silently falling back to defaults.
@@ -51,7 +51,7 @@ _ALLOWED = {
     "sensor": {"pixel_pitch_mm", "micro_image_px"},
     "mla": {"lenses_h", "lenses_v", "pitch_mm", "f_s_mm", *_PRESCRIPTION_KEYS},
     "main_lens": {"f_u_mm", "b_u_inf_mm", "exit_pupil_inf_mm", "h1h2_mm", "v1h1_mm"},
-    "focus": {"d_f_mm", "d_f"},
+    "focus": {"d_f_mm"},
 }
 # Spec fields the file spells differently, so that errors name the key.
 _KEY_OF_FIELD = {
@@ -186,10 +186,6 @@ def parse_config(text: str, origin: str = "<config>") -> CameraConfig:
         front_vertex_to_h1_mm=get_float("main_lens", "v1h1_mm", required=False),
     )
 
-    if parser.has_option("focus", "d_f_mm") and parser.has_option("focus", "d_f"):
-        raise ConfigError(f"{origin}: [focus] give d_f_mm or d_f, not both")
-    key = "d_f" if parser.has_option("focus", "d_f") else "d_f_mm"
-    d_f = get_float("focus", key, allow_inf=True)
-    focus = build(FocusSetting, "focus", d_f_mm=d_f)
+    focus = build(FocusSetting, "focus", d_f_mm=get_float("focus", "d_f_mm", allow_inf=True))
     # A focus the main lens cannot reach fails here.
     return build(CameraConfig, "focus", sensor=sensor, mla=mla, main_lens=main_lens, focus=focus)

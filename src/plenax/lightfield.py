@@ -1,11 +1,12 @@
-"""Raw capture to 4-D light field to sub-aperture views.
+"""Raw capture to sub-aperture views, and PGM I/O.
 
 A calibrated raw image tiles the sensor with J x H micro images of exactly
 M x M pixels, the centre pixel of each sitting on its micro image centre.
 Flat sensor coordinates (k, l) and 4-D coordinates (j, h, i, g) are related
 by k = j*M + c + i and l = h*M + c + g with c = (M-1)/2. Collecting, from
 every micro image, the pixel at one fixed offset (i, g) yields the
-sub-aperture view for that offset, one pixel per micro lens.
+sub-aperture view for that offset, one pixel per micro lens. decode stores
+the light field view-major, as one array indexed [c + i, c + g, h, j].
 """
 
 from __future__ import annotations
@@ -42,31 +43,6 @@ class RawLightFieldImage:
 
 
 @dataclass(frozen=True)
-class LightField4D:
-    """Decoded samples indexed [j, h, i + c, g + c].
-
-    The samples are stored view-major, as one C-contiguous array indexed
-    [i + c, g + c, h, j], so each sub-aperture view is a contiguous
-    (count_v, count_h) block. samples is a transposed, read-only view of
-    that storage. Samples given in any other layout are copied into it once.
-    """
-
-    samples: np.ndarray
-    config: CameraConfig
-
-    def __post_init__(self) -> None:
-        m = self.config.sensor.micro_image_px
-        expected = (self.config.mla.count_h, self.config.mla.count_v, m, m)
-        if self.samples.shape != expected:
-            raise ValueError(
-                f"samples shape {self.samples.shape} does not match {expected}"
-            )
-        views = np.ascontiguousarray(self.samples.transpose(2, 3, 1, 0)).view()
-        views.flags.writeable = False
-        object.__setattr__(self, "samples", views.transpose(3, 2, 0, 1))
-
-
-@dataclass(frozen=True)
 class SubApertureImage:
     """One viewpoint's image: a (count_v, count_h) pixel grid."""
 
@@ -74,11 +50,12 @@ class SubApertureImage:
     pixels: np.ndarray
 
 
-def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> LightField4D:
-    """Reindex a raw capture into the 4-D light field, losslessly.
+def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
+    """Reindex a raw capture into its sub-aperture views, losslessly.
 
-    Makes one copy of the raw, into the view-major storage LightField4D
-    describes; views extracted from the result share it.
+    Makes one copy of the raw, into a read-only C-contiguous array of shape
+    (M, M, count_v, count_h) where views[c + i, c + g] is viewpoint (i, g);
+    views extracted from it share that storage.
 
     Args:
         raw: Calibrated raw image.
@@ -95,37 +72,30 @@ def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> LightField4D:
         samples = samples[::-1, ::-1]
     # (l, k) -> (h, g', j, i') -> view-major (i', g', h, j): the one copy.
     views = np.ascontiguousarray(samples.reshape(count_v, m, count_h, m).transpose(3, 1, 0, 2))
-    return LightField4D(samples=views.transpose(3, 2, 0, 1), config=raw.config)
+    # Flag a view, so the caller's raw stays writable even if it came back uncopied.
+    views = views.view()
+    views.flags.writeable = False
+    return views
 
 
-def flatten(lf: LightField4D) -> RawLightFieldImage:
-    """Inverse of decode: reassemble the raw sensor image bit-exactly."""
-    m = lf.config.sensor.micro_image_px
-    count_h = lf.config.mla.count_h
-    count_v = lf.config.mla.count_v
-    raw = lf.samples.transpose(1, 3, 0, 2).reshape(count_v * m, count_h * m)
-    return RawLightFieldImage(samples=np.ascontiguousarray(raw), config=lf.config)
-
-
-def extract_view(lf: LightField4D, i: int, g: int) -> SubApertureImage:
+def extract_view(views: np.ndarray, i: int, g: int) -> SubApertureImage:
     """Sub-aperture view at offset (i, g), one pixel per micro lens.
 
-    The pixels are the contiguous (count_v, count_h) block of the light
-    field's view-major storage, read-only and not copied: copy them before
-    changing them.
+    The pixels are the contiguous (count_v, count_h) block views[c + i, c + g]
+    of decode's array, read-only and not copied: copy them before changing
+    them.
     """
-    c = lf.config.sensor.half_span
+    c = views.shape[0] // 2
     if abs(i) > c or abs(g) > c:
         raise ValueError(f"viewpoint ({i}, {g}) outside [-{c}, {c}]^2")
-    pixels = lf.samples.transpose(2, 3, 1, 0)[c + i, c + g]
-    return SubApertureImage(viewpoint=(i, g), pixels=pixels)
+    return SubApertureImage(viewpoint=(i, g), pixels=views[c + i, c + g])
 
 
-def extract_all_views(lf: LightField4D) -> dict[tuple[int, int], SubApertureImage]:
-    """Every sub-aperture view, keyed by (i, g)."""
-    c = lf.config.sensor.half_span
+def extract_all_views(views: np.ndarray) -> dict[tuple[int, int], SubApertureImage]:
+    """Every sub-aperture view of decode's array, keyed by (i, g)."""
+    c = views.shape[0] // 2
     return {
-        (i, g): extract_view(lf, i, g)
+        (i, g): extract_view(views, i, g)
         for g in range(-c, c + 1)
         for i in range(-c, c + 1)
     }
@@ -218,26 +188,14 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return samples.reshape(height, width), maxval
 
 
-# Rows converted to the file's sample type at a time, so the big-endian copy
-# of a frame never exceeds this many bytes (one row at least).
-_WRITE_BLOCK_BYTES = 1 << 20
-
-
-def write_pgm(
-    path: str | Path,
-    samples: np.ndarray,
-    maxval: int | None = None,
-    binary: bool = True,
-) -> None:
-    """Write a (height, width) integer array as a portable graymap.
+def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) -> None:
+    """Write a (height, width) integer array as a binary (P5) portable graymap.
 
     Args:
         path: Destination file.
         samples: Nonnegative integer values, each <= maxval.
         maxval: Declared maximum; defaults to 255 or 65535 depending on the
             data's actual maximum.
-        binary: P5 when true, ascii P2 otherwise. P5 samples are converted
-            to the file's type in blocks of rows of at most 1 MiB.
     """
     arr = np.asarray(samples)
     if arr.ndim != 2:
@@ -250,15 +208,7 @@ def write_pgm(
     if peak > maxval:
         raise ValueError(f"sample {peak} exceeds maxval {maxval}")
     height, width = arr.shape
-    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
-    path = Path(path)
-    if binary:
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-        rows = max(1, _WRITE_BLOCK_BYTES // max(1, width * dtype.itemsize))
-        with path.open("wb") as f:
-            f.write(header.encode("ascii"))
-            for top in range(0, height, rows):
-                f.write(np.ascontiguousarray(arr[top : top + rows], dtype=dtype))
-    else:
-        lines = "\n".join(" ".join(str(v) for v in row) for row in arr.tolist())
-        path.write_text(header + lines + "\n", encoding="ascii")
+    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    with Path(path).open("wb") as f:
+        f.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        arr.astype(dtype).tofile(f)

@@ -12,6 +12,29 @@ import plenax as px
 CHECKER_DEPTH_MM = 2034.788993120814
 
 
+def rig(m, count_h, count_v):
+    """A rig with M = m pixels per micro image and count_h x count_v lenses."""
+    return px.CameraConfig(
+        sensor=px.SensorSpec(pixel_pitch_mm=0.009, micro_image_px=m),
+        mla=px.MicroLensSpec(
+            focal_length_mm=2.75, pitch_mm=0.125, count_h=count_h, count_v=count_v
+        ),
+        main_lens=px.MainLensSpec(
+            focal_length_mm=197.1264, exit_pupil_inf_mm=100.5, principal_gap_mm=147.4618
+        ),
+        focus=px.FocusSetting(px.INFINITY),
+    )
+
+
+def flatten(views):
+    """Inverse of decode: the raw mosaic, bit-exact, on a rig of its geometry."""
+    m, _, count_v, count_h = views.shape
+    mosaic = views.transpose(2, 1, 3, 0).reshape(count_v * m, count_h * m)
+    return px.RawLightFieldImage(
+        samples=np.ascontiguousarray(mosaic), config=rig(m, count_h, count_v)
+    )
+
+
 @pytest.fixture(scope="session")
 def configs():
     return {name: px.load_fixture(name) for name in px.fixture_names()}

@@ -11,7 +11,7 @@ import pytest
 
 import plenax as px
 
-from conftest import CHECKER_DEPTH_MM, match_views
+from conftest import CHECKER_DEPTH_MM, flatten, match_views
 from test_disparity import brute_force_match
 
 # (image distance b_u, exit pupil distance d_ap) per rig, +-5e-4 mm.
@@ -204,7 +204,7 @@ def test_model_property_suite(configs, states):
         samples=rng.integers(0, 65536, size=(188 * 13, 281 * 13), dtype=np.uint16),
         config=config,
     )
-    assert np.array_equal(px.flatten(px.decode(raw)).samples, raw.samples)
+    assert np.array_equal(flatten(px.decode(raw)).samples, raw.samples)
 
     # The vectorized matcher is the scalar reference, exactly.
     for seed in (1, 2, 3):

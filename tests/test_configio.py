@@ -73,6 +73,11 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match="pixel_size"):
             px.parse_config(text)
 
+    def test_focus_key_has_one_spelling(self):
+        text = VALID.replace("d_f_mm = inf", "d_f = inf")
+        with pytest.raises(ConfigError, match=r"unknown key 'd_f' \(allowed: d_f_mm\)"):
+            px.parse_config(text)
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="aperture"):
             px.parse_config(VALID + "\n[aperture]\nd = 1\n")

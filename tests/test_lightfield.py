@@ -11,18 +11,7 @@ from hypothesis import strategies as st
 import plenax as px
 from plenax.cli import main
 
-
-def rig(m, count_h, count_v):
-    return px.CameraConfig(
-        sensor=px.SensorSpec(pixel_pitch_mm=0.009, micro_image_px=m),
-        mla=px.MicroLensSpec(
-            focal_length_mm=2.75, pitch_mm=0.125, count_h=count_h, count_v=count_v
-        ),
-        main_lens=px.MainLensSpec(
-            focal_length_mm=197.1264, exit_pupil_inf_mm=100.5, principal_gap_mm=147.4618
-        ),
-        focus=px.FocusSetting(px.INFINITY),
-    )
+from conftest import flatten, rig
 
 
 @pytest.fixture()
@@ -41,34 +30,32 @@ class TestDecode:
     def test_shape_validation(self, small_config):
         with pytest.raises(ValueError):
             px.RawLightFieldImage(samples=np.zeros((19, 35)), config=small_config)
-        with pytest.raises(ValueError):
-            px.LightField4D(samples=np.zeros((7, 4, 5, 4)), config=small_config)
 
     def test_round_trip_bit_exact(self, small_raw):
-        lf = px.decode(small_raw)
-        back = px.flatten(lf)
+        views = px.decode(small_raw)
+        back = flatten(views)
         assert back.samples.dtype == small_raw.samples.dtype
         assert np.array_equal(back.samples, small_raw.samples)
 
     def test_decode_places_micro_images(self, small_raw, small_config):
-        lf = px.decode(small_raw)
+        views = px.decode(small_raw)
         m = small_config.sensor.micro_image_px
         # Sample (j, h, i, g) must come from mosaic row h*M+c+g, col j*M+c+i.
         c = small_config.sensor.half_span
-        assert lf.samples[3, 2, c + 1, c - 2] == small_raw.samples[2 * m + c - 2, 3 * m + c + 1]
+        assert views[c + 1, c - 2, 2, 3] == small_raw.samples[2 * m + c - 2, 3 * m + c + 1]
 
     def test_rotate_180_double_apply_is_identity(self, small_raw):
         once = px.decode(small_raw, rotate_180=True)
-        raw_back = px.flatten(once)
+        raw_back = flatten(once)
         twice = px.decode(raw_back, rotate_180=True)
-        assert np.array_equal(twice.samples, px.decode(small_raw).samples)
+        assert np.array_equal(twice, px.decode(small_raw))
 
     def test_rotate_180_flips_mosaic(self, small_raw):
         rotated = px.decode(small_raw, rotate_180=True)
         flipped = px.RawLightFieldImage(
             samples=small_raw.samples[::-1, ::-1].copy(), config=small_raw.config
         )
-        assert np.array_equal(rotated.samples, px.decode(flipped).samples)
+        assert np.array_equal(rotated, px.decode(flipped))
 
 
 class TestViewMajorDecode:
@@ -86,60 +73,53 @@ class TestViewMajorDecode:
         rng = np.random.default_rng(seed)
         samples = (rng.random((count_v * m, count_h * m)) * 255).astype(dtype)
         raw = px.RawLightFieldImage(samples=samples, config=config)
-        lf = px.decode(raw, rotate_180=rotate)
+        views = px.decode(raw, rotate_180=rotate)
+        assert views.shape == (m, m, count_v, count_h)
+        assert views.flags.c_contiguous and not views.flags.writeable
+        assert samples.flags.writeable
         mosaic = samples[::-1, ::-1] if rotate else samples
         c = (m - 1) // 2
         for g in range(-c, c + 1):
             for i in range(-c, c + 1):
-                pixels = px.extract_view(lf, i, g).pixels
+                expected = np.ascontiguousarray(mosaic[c + g :: m, c + i :: m]).tobytes()
+                assert views[c + i, c + g].tobytes() == expected
+                pixels = px.extract_view(views, i, g).pixels
                 assert pixels.flags.c_contiguous and not pixels.flags.writeable
                 assert pixels.shape == (count_v, count_h)
-                assert pixels.tobytes() == np.ascontiguousarray(
-                    mosaic[c + g :: m, c + i :: m]
-                ).tobytes()
-        back = px.flatten(px.decode(raw)).samples
+                assert pixels.tobytes() == expected
+        back = flatten(px.decode(raw)).samples
         assert back.dtype == samples.dtype
         assert back.tobytes() == samples.tobytes()
         with pytest.raises(ValueError):
-            lf.samples[0, 0, 0, 0] = 1
+            views[0, 0, 0, 0] = 1
         with pytest.raises(ValueError):
-            px.extract_view(lf, 0, 0).pixels[0, 0] = 1
+            px.extract_view(views, 0, 0).pixels[0, 0] = 1
 
     def test_views_share_the_decoded_storage(self):
         # f197 size: the 169 views are slices of one 18 MB array, where the
         # strided copies they replaced allocated 17.9 MB.
         config = px.load_fixture("f197_mla2_inf")
         samples = np.zeros((config.image_height_px, config.image_width_px), dtype=np.uint16)
-        lf = px.decode(px.RawLightFieldImage(samples=samples, config=config))
+        decoded = px.decode(px.RawLightFieldImage(samples=samples, config=config))
         tracemalloc.start()
         try:
-            views = px.extract_all_views(lf)
+            views = px.extract_all_views(decoded)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(views) == 169
         assert peak < 1e6
-        assert all(np.shares_memory(v.pixels, lf.samples) for v in views.values())
-
-    def test_layout_of_given_samples_is_normalised(self, small_raw, small_config):
-        # A light field built from [j, h, i, g]-contiguous samples is copied
-        # into view-major storage and leaves the caller's array writable.
-        decoded = px.decode(small_raw)
-        given_samples = np.ascontiguousarray(decoded.samples)
-        lf = px.LightField4D(samples=given_samples, config=small_config)
-        assert given_samples.flags.writeable
-        assert np.array_equal(lf.samples, decoded.samples)
-        assert px.extract_view(lf, 1, -2).pixels.flags.c_contiguous
+        assert all(np.shares_memory(v.pixels, decoded) for v in views.values())
 
 
 class TestViews:
     def test_extract_view_layout(self, small_raw, small_config):
-        lf = px.decode(small_raw)
-        view = px.extract_view(lf, 1, -2)
+        view = px.extract_view(px.decode(small_raw), 1, -2)
         assert view.viewpoint == (1, -2)
         assert view.pixels.shape == (4, 7)
+        m = small_config.sensor.micro_image_px
         c = small_config.sensor.half_span
-        assert np.array_equal(view.pixels, lf.samples[:, :, c + 1, c - 2].T)
+        assert np.array_equal(view.pixels, small_raw.samples[c - 2 :: m, c + 1 :: m])
 
     def test_extract_all_views_covers_span(self, small_raw):
         views = px.extract_all_views(px.decode(small_raw))
@@ -174,24 +154,24 @@ class TestPgm:
         assert maxval == 255
         assert np.array_equal(back, img)
 
-    @pytest.mark.parametrize("maxval, dtype", [(255, "u1"), (65535, ">u2")])
-    def test_binary_bytes_of_strided_samples(self, tmp_path, maxval, dtype):
+    @pytest.mark.parametrize(
+        "maxval, dtype, size",
+        [
+            pytest.param(255, "u1", (12, 7), id="255-u1"),
+            pytest.param(65535, ">u2", (12, 7), id="65535->u2"),
+            # 1.2 MB written: more than one 1 MiB block of the former writer.
+            pytest.param(65535, ">u2", (1200, 1000), id="65535->u2-1.2MB"),
+        ],
+    )
+    def test_binary_bytes_of_strided_samples(self, tmp_path, maxval, dtype, size):
         # A transposed, every-other-column view: the file holds its rows in
         # order, big-endian for 16 bits.
         rng = np.random.default_rng(13)
-        img = rng.integers(0, maxval + 1, size=(12, 7), dtype=np.uint16).T[:, ::2]
+        img = rng.integers(0, maxval + 1, size=size, dtype=np.uint16).T[:, ::2]
         path = tmp_path / "strided.pgm"
         px.write_pgm(path, img, maxval=maxval)
         header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
         assert path.read_bytes() == header + np.ascontiguousarray(img).astype(dtype).tobytes()
-
-    def test_ascii_round_trip(self, tmp_path):
-        img = np.arange(12, dtype=np.uint16).reshape(3, 4)
-        path = tmp_path / "ascii.pgm"
-        px.write_pgm(path, img, maxval=100, binary=False)
-        back, maxval = px.read_pgm(path)
-        assert maxval == 100
-        assert np.array_equal(back, img)
 
     def test_reads_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "c.pgm"
