@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, disparity, lightfield, oracle, presets, raymodel
-from .configio import ConfigError, load_config
+from .configio import load_config
 from .optics import derive_focus_state
 
 
@@ -284,9 +284,6 @@ def main(argv=None) -> int:
             return cmd_render(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -385,22 +385,22 @@ def read_map_csv(path: str | Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def to_graymap(values: np.ndarray, maxval: int = 65535) -> np.ndarray:
-    """Scale a disparity or depth grid to integers for graymap export.
+def to_graymap(values: np.ndarray) -> np.ndarray:
+    """Scale a disparity or depth grid onto 0..65535 for graymap export.
 
-    Finite values map linearly onto [0, maxval]; NaN and infinities map to
-    0. A constant grid maps to mid-scale.
+    Finite values map linearly onto [0, 65535] as uint16; NaN and infinities
+    map to 0. A constant grid maps to mid-scale.
     """
     arr = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(arr)
-    out = np.zeros(arr.shape, dtype=np.uint16 if maxval > 255 else np.uint8)
+    out = np.zeros(arr.shape, dtype=np.uint16)
     if not finite.any():
         return out
     lo = arr[finite].min()
     hi = arr[finite].max()
     if hi == lo:
-        out[finite] = maxval // 2
+        out[finite] = 65535 // 2
     else:
-        scaled = (arr[finite] - lo) / (hi - lo) * maxval
+        scaled = (arr[finite] - lo) / (hi - lo) * 65535
         out[finite] = np.round(scaled).astype(out.dtype)
     return out

@@ -137,9 +137,14 @@ def _read_header(f, path) -> tuple[bool, int, int, int]:
     for field, value in (("width", width), ("height", height)):
         if value <= 0:
             raise ValueError(f"{path}: {field} {value} must be positive")
+    _check_maxval(path, maxval)
+    return magic == b"P5", width, height, maxval
+
+
+def _check_maxval(path, maxval: int) -> None:
+    """The one maxval rule, for reading and writing: 0 < maxval < 65536."""
     if not (0 < maxval < 65536):
         raise ValueError(f"{path}: maxval {maxval} outside (0, 65536)")
-    return magic == b"P5", width, height, maxval
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
@@ -193,20 +198,31 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
 
     Args:
         path: Destination file.
-        samples: Nonnegative integer values, each <= maxval.
-        maxval: Declared maximum; defaults to 255 or 65535 depending on the
-            data's actual maximum.
+        samples: Nonnegative whole values, each <= maxval. Float samples
+            must hold whole numbers; they are never rounded.
+        maxval: Declared maximum in (0, 65536); defaults to 255 or 65535
+            depending on the data's actual maximum.
+
+    Raises:
+        ValueError: naming the path, for anything read_pgm would reject or
+            read back differently.
     """
     arr = np.asarray(samples)
     if arr.ndim != 2:
-        raise ValueError(f"samples must be 2-D, got shape {arr.shape}")
+        raise ValueError(f"{path}: samples must be 2-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "biu":
+        whole = np.isfinite(arr) & (np.floor(arr) == arr)
+        if not whole.all():
+            bad = arr[~whole][0]
+            raise ValueError(f"{path}: graymap samples must be finite integers, got {bad}")
     if arr.size and (arr.min() < 0):
-        raise ValueError("graymap samples must be nonnegative")
+        raise ValueError(f"{path}: graymap samples must be nonnegative")
     peak = int(arr.max()) if arr.size else 0
     if maxval is None:
         maxval = 255 if peak <= 255 else 65535
+    _check_maxval(path, maxval)
     if peak > maxval:
-        raise ValueError(f"sample {peak} exceeds maxval {maxval}")
+        raise ValueError(f"{path}: sample {peak} exceeds maxval {maxval}")
     height, width = arr.shape
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     with Path(path).open("wb") as f:

@@ -8,7 +8,8 @@ are measured from the micro lens array (MLA) plane toward the main lens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 INFINITY = math.inf
 
@@ -44,22 +45,28 @@ class SensorSpec:
 class MicroLensSpec:
     """Micro lens array geometry, optionally with the full lens prescription.
 
+    The lenslet model lives here: the surface powers and principal planes
+    below are what the oracle traces. A thin lenslet has all its power at
+    the front surface, no thickness and its principal planes at its vertex.
+
     Attributes:
-        focal_length_mm: Micro lens focal length f_s.
+        focal_length_mm: Micro lens focal length f_s. May be None when a
+            full prescription is given; it is then the focal length the
+            surfaces imply.
         pitch_mm: Lens pitch p_m.
         count_h: Number of lenses along the horizontal axis (J). Must be odd
             so the central lens sits on the optical axis.
         count_v: Number of lenses along the vertical axis (H). May be even;
             the vertical axis needs no central lens.
         thickness_mm, refractive_index, radius_front_mm, radius_back_mm:
-            Optional physical prescription. When all four are given, the
-            cardinal points derived from them must agree with focal_length_mm
-            within 1e-3 mm.
+            Optional physical prescription, all four or none. The focal
+            length derived from it must agree with focal_length_mm within
+            1e-3 mm.
         principal_gap_mm: Separation of the lens's principal planes, derived
-            from the prescription when one is supplied.
+            from the prescription; None for a thin lenslet. Not an argument.
     """
 
-    focal_length_mm: float
+    focal_length_mm: float | None
     pitch_mm: float
     count_h: int
     count_v: int
@@ -67,9 +74,19 @@ class MicroLensSpec:
     refractive_index: float | None = None
     radius_front_mm: float | None = None
     radius_back_mm: float | None = None
-    principal_gap_mm: float | None = None
+    principal_gap_mm: float | None = field(init=False, default=None)
+    _lens: _ThickLens = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        names = ("thickness_mm", "refractive_index", "radius_front_mm", "radius_back_mm")
+        missing = [name for name in names if getattr(self, name) is None]
+        if 0 < len(missing) < len(names):
+            raise ValueError(f"a lens prescription is incomplete, missing {', '.join(missing)}")
+        lens = None if missing else _thick_lens(*(getattr(self, name) for name in names))
+        if self.focal_length_mm is None:
+            if lens is None:
+                raise ValueError("focal_length_mm is required without a full lens prescription")
+            object.__setattr__(self, "focal_length_mm", lens.focal_length)
         if not self.focal_length_mm > 0:
             raise ValueError(f"focal_length_mm must be > 0, got {self.focal_length_mm}")
         if not self.pitch_mm > 0:
@@ -78,31 +95,48 @@ class MicroLensSpec:
             raise ValueError(f"count_h must be odd and >= 1, got {self.count_h}")
         if self.count_v < 1:
             raise ValueError(f"count_v must be >= 1, got {self.count_v}")
-        prescription = (
-            self.thickness_mm,
-            self.refractive_index,
-            self.radius_front_mm,
-            self.radius_back_mm,
-        )
-        if any(v is not None for v in prescription):
-            if any(v is None for v in prescription):
-                raise ValueError(
-                    "a lens prescription needs all of thickness_mm, "
-                    "refractive_index, radius_front_mm, radius_back_mm"
-                )
-            derived_f, derived_gap = mla_cardinal_points(
-                self.thickness_mm,
-                self.refractive_index,
-                self.radius_front_mm,
-                self.radius_back_mm,
+        if lens is None:
+            # All power at the front, no glass, both planes at the vertex.
+            f_s = self.focal_length_mm
+            lens = _ThickLens(1.0 / f_s, 0.0, 0.0, 0.0, f_s, 0.0, 0.0)
+        elif abs(lens.focal_length - self.focal_length_mm) > 1e-3:
+            raise ValueError(
+                f"prescription yields focal length {lens.focal_length:.6f} mm, "
+                f"disagreeing with focal_length_mm={self.focal_length_mm}"
             )
-            if abs(derived_f - self.focal_length_mm) > 1e-3:
-                raise ValueError(
-                    f"prescription yields focal length {derived_f:.6f} mm, "
-                    f"disagreeing with focal_length_mm={self.focal_length_mm}"
-                )
-            if self.principal_gap_mm is None:
-                object.__setattr__(self, "principal_gap_mm", derived_gap)
+        else:
+            object.__setattr__(self, "principal_gap_mm", lens.principal_gap)
+        object.__setattr__(self, "_lens", lens)
+
+    @property
+    def power_front_per_mm(self) -> float:
+        """Power of the front (object-side) surface."""
+        return self._lens.power_front
+
+    @property
+    def power_back_per_mm(self) -> float:
+        """Power of the back (sensor-side) surface."""
+        return self._lens.power_back
+
+    @property
+    def axial_thickness_mm(self) -> float:
+        """Centre thickness, 0 for a thin lenslet."""
+        return self._lens.thickness
+
+    @property
+    def reduced_thickness_mm(self) -> float:
+        """Centre thickness over the index: the glass path in reduced angles."""
+        return self._lens.reduced_thickness
+
+    @property
+    def h1_from_front_mm(self) -> float:
+        """Object-side principal plane from the front vertex, + toward the sensor."""
+        return self._lens.h1_from_front
+
+    @property
+    def h2_from_back_mm(self) -> float:
+        """Image-side principal plane from the back vertex, + toward the sensor."""
+        return self._lens.h2_from_back
 
 
 @dataclass(frozen=True)
@@ -208,6 +242,54 @@ class CameraConfig:
         return self.mla.count_v * self.sensor.micro_image_px
 
 
+class _ThickLens(NamedTuple):
+    """One lenslet: two surface powers, the glass path between them, the
+    focal length and each principal plane's offset from its own vertex."""
+
+    power_front: float
+    power_back: float
+    thickness: float
+    reduced_thickness: float
+    focal_length: float
+    h1_from_front: float
+    h2_from_back: float
+
+    @property
+    def principal_gap(self) -> float:
+        return (self.thickness + self.h2_from_back) - self.h1_from_front
+
+
+def _thick_lens(thickness_mm, refractive_index, radius_front_mm, radius_back_mm) -> _ThickLens:
+    """The lens model behind mla_cardinal_points, which documents it."""
+    prescription = (thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
+    if any(math.isnan(v) for v in prescription):
+        raise ValueError("a lens prescription must not contain NaN")
+    if thickness_mm < 0:
+        raise ValueError(f"thickness_mm must be >= 0, got {thickness_mm}")
+    if refractive_index <= 1:
+        raise ValueError(f"refractive_index must be > 1, got {refractive_index}")
+    if radius_front_mm == 0 or radius_back_mm == 0:
+        raise ValueError(
+            f"surface radii must be nonzero, got radius_front_mm={radius_front_mm}, "
+            f"radius_back_mm={radius_back_mm}"
+        )
+    n = refractive_index
+    power_front = (n - 1.0) / radius_front_mm if math.isfinite(radius_front_mm) else 0.0
+    power_back = (1.0 - n) / radius_back_mm if math.isfinite(radius_back_mm) else 0.0
+    reduced_thickness = thickness_mm / n
+    power = power_front + power_back - power_front * power_back * reduced_thickness
+    if power == 0:
+        raise ValueError("prescription has zero optical power and cannot focus")
+    f = 1.0 / power
+    # Principal plane offsets from the respective vertices, standard
+    # thick-lens relations in the reduced-angle convention.
+    h1_from_front = f * power_back * reduced_thickness
+    h2_from_back = -f * power_front * reduced_thickness
+    return _ThickLens(
+        power_front, power_back, thickness_mm, reduced_thickness, f, h1_from_front, h2_from_back
+    )
+
+
 def mla_cardinal_points(
     thickness_mm: float,
     refractive_index: float,
@@ -233,39 +315,8 @@ def mla_cardinal_points(
     Raises:
         ValueError: Non-physical inputs or zero combined optical power.
     """
-    prescription = (thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
-    if any(math.isnan(v) for v in prescription):
-        raise ValueError("a lens prescription must not contain NaN")
-    if thickness_mm < 0:
-        raise ValueError(f"thickness_mm must be >= 0, got {thickness_mm}")
-    if refractive_index <= 1:
-        raise ValueError(f"refractive_index must be > 1, got {refractive_index}")
-    if radius_front_mm == 0 or radius_back_mm == 0:
-        raise ValueError(
-            f"surface radii must be nonzero, got radius_front_mm={radius_front_mm}, "
-            f"radius_back_mm={radius_back_mm}"
-        )
-    power_front = (
-        (refractive_index - 1.0) / radius_front_mm
-        if math.isfinite(radius_front_mm)
-        else 0.0
-    )
-    power_back = (
-        (1.0 - refractive_index) / radius_back_mm
-        if math.isfinite(radius_back_mm)
-        else 0.0
-    )
-    reduced_thickness = thickness_mm / refractive_index
-    power = power_front + power_back - power_front * power_back * reduced_thickness
-    if power == 0:
-        raise ValueError("prescription has zero optical power and cannot focus")
-    focal_length = 1.0 / power
-    # Principal plane offsets from the respective vertices, standard
-    # thick-lens relations in the reduced-angle convention.
-    h1_from_front = focal_length * power_back * reduced_thickness
-    h2_from_back = -focal_length * power_front * reduced_thickness
-    principal_gap = (thickness_mm + h2_from_back) - h1_from_front
-    return focal_length, principal_gap
+    lens = _thick_lens(thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
+    return lens.focal_length, lens.principal_gap
 
 
 def solve_image_distance(

@@ -2,11 +2,12 @@
 
 Everything in this module deliberately avoids the closed-form expressions in
 raymodel. Rays are pushed through the optical train one element at a time
-(translate, refract, translate, ...), micro lenses are traced as their actual
-refracting surfaces whenever a prescription is available, and quantities such
-as the pupil location, camera positions, baselines and triangulated distances
-are recovered by brute-force intersection of the traced object-space lines.
-Agreement between the two routes is a regression check on both.
+(translate, refract, translate, ...), every micro lens is traced as the front
+surface, glass path and back surface of MicroLensSpec's lenslet model, and
+quantities such as the pupil location, camera positions, baselines and
+triangulated distances are recovered by brute-force intersection of the
+traced object-space lines. Agreement between the two routes is a regression
+check on both.
 
 The trace state is (height, slope) with slopes stored as reduced angles, so a
 translation inside glass advances by thickness / index and a surface applies
@@ -72,18 +73,14 @@ def trace(ray: TracedRay, elements) -> TracedRay:
 def mla_surface_elements(mla: MicroLensSpec, center_mm: float | np.ndarray = 0.0):
     """Surface sequence of one lenslet, in front-to-back traversal order.
 
-    With a full prescription this is refraction, reduced-thickness advance,
-    refraction; without one the lenslet degenerates to a single thin surface.
+    Refraction, reduced-thickness advance, refraction. A thin lenslet has
+    all its power at the front and no thickness, so the last two pass the
+    ray through unchanged.
     """
-    if mla.thickness_mm is None:
-        return (Refraction(1.0 / mla.focal_length_mm, center_mm),)
-    n = mla.refractive_index
-    front = (n - 1.0) / mla.radius_front_mm if math.isfinite(mla.radius_front_mm) else 0.0
-    back = (1.0 - n) / mla.radius_back_mm if math.isfinite(mla.radius_back_mm) else 0.0
     return (
-        Refraction(front, center_mm),
-        Translation(mla.thickness_mm / n),
-        Refraction(back, center_mm),
+        Refraction(mla.power_front_per_mm, center_mm),
+        Translation(mla.reduced_thickness_mm),
+        Refraction(mla.power_back_per_mm, center_mm),
     )
 
 
@@ -100,24 +97,11 @@ class _Geometry:
 
 def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
     mla = config.mla
-    f_s = mla.focal_length_mm
-    if mla.thickness_mm is None:
-        lens_plane = exit_vertex = f_s
-        sensor_gap = f_s
-    else:
-        n = mla.refractive_index
-        front_surface, _, back_surface = mla_surface_elements(mla)
-        front = front_surface.power_per_mm
-        back = back_surface.power_per_mm
-        power = front + back - front * back * mla.thickness_mm / n
-        f = 1.0 / power
-        # Vertex offsets of the principal planes; the sensor sits one focal
-        # length behind the image-side plane, so the vertices land here.
-        h1_from_front = f * back * mla.thickness_mm / n
-        h2_from_back = -f * front * mla.thickness_mm / n
-        sensor_gap = f_s + h2_from_back
-        exit_vertex = sensor_gap + mla.thickness_mm
-        lens_plane = exit_vertex - h1_from_front
+    # The sensor sits one focal length behind the image-side principal
+    # plane; the vertices and the object-side plane follow from it.
+    sensor_gap = mla.focal_length_mm + mla.h2_from_back_mm
+    exit_vertex = sensor_gap + mla.axial_thickness_mm
+    lens_plane = exit_vertex - mla.h1_from_front_mm
     return _Geometry(
         exit_vertex_z_mm=exit_vertex,
         lens_plane_z_mm=lens_plane,
@@ -128,10 +112,7 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
 
 
 def _forward_elements(geom: _Geometry, mla: MicroLensSpec):
-    surfaces = mla_surface_elements(mla)
-    if len(surfaces) == 1:
-        return (Translation(geom.sensor_gap_mm), surfaces[0])
-    front, advance, back = surfaces
+    front, advance, back = mla_surface_elements(mla)
     # Sensor-to-scene traversal meets the back surface first.
     return (Translation(geom.sensor_gap_mm), back, advance, front)
 

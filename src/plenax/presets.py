@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import raymodel
+from . import oracle, raymodel
 from .configio import load_config
 from .optics import INFINITY, CameraConfig, derive_focus_state, mla_cardinal_points
 
@@ -250,8 +250,6 @@ def run_consistency_checks(config: CameraConfig) -> list[CheckOutcome]:
     absolute floor for values at zero), and the traced ray intersections
     for one viewpoint must cluster within 1e-9 mm.
     """
-    from . import oracle
-
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
     sim = oracle.simulate_virtual_cameras(config, state)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,21 @@ class TestRenderExtractPipeline:
         assert "error:" in err
 
 
+def _render_small_scene(tmp_path, fixture, maxval):
+    """SHA-256 of `plenax render` on a fixture cut to 23 x 16 lenslets."""
+    text = px.fixture_path(fixture).read_text()
+    text = re.sub(r"^lenses_h = \d+$", "lenses_h = 23", text, flags=re.M)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(re.sub(r"^lenses_v = \d+$", "lenses_v = 16", text, flags=re.M))
+    rng = np.random.default_rng(2024)
+    px.write_pgm(tmp_path / "tile.pgm", rng.integers(0, 1001, size=(24, 24)), maxval=1000)
+    scene = tmp_path / "scene.txt"
+    scene.write_text("plane 1500 checker 0.9 band -1 1\nplane 2500 file tile.pgm 0.05\n")
+    out = tmp_path / "raw.pgm"
+    assert main(["render", str(cfg), str(scene), str(out), "--maxval", str(maxval)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 class TestRenderBytes:
     # SHA-256 of the graymap `plenax render` wrote for this scene when it
     # still rendered a float frame and quantized it afterwards. A seeded
@@ -186,18 +202,17 @@ class TestRenderBytes:
         (65535, "09ab42a8b6681cbb1e37e0a34c364d1a3dca031f70bd5a451587c84a2e0c4bed"),
         (255, "fa0ab54848af960de9b7241ad60c0fe7fd8a7a1503f49699495675a6684a8871"),
     ])
-    def test_small_scene_bytes_pinned(self, tmp_path, f197_cfg_path, maxval, digest):
-        text = Path(f197_cfg_path).read_text()
-        cfg = tmp_path / "small.cfg"
-        text = text.replace("lenses_h = 281", "lenses_h = 23")
-        cfg.write_text(text.replace("lenses_v = 188", "lenses_v = 16"))
-        rng = np.random.default_rng(2024)
-        px.write_pgm(tmp_path / "tile.pgm", rng.integers(0, 1001, size=(24, 24)), maxval=1000)
-        scene = tmp_path / "scene.txt"
-        scene.write_text("plane 1500 checker 0.9 band -1 1\nplane 2500 file tile.pgm 0.05\n")
-        out = tmp_path / "raw.pgm"
-        assert main(["render", str(cfg), str(scene), str(out), "--maxval", str(maxval)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    def test_small_scene_bytes_pinned(self, tmp_path, maxval, digest):
+        assert _render_small_scene(tmp_path, "f197_mla2_inf", maxval) == digest
+
+    # The same scene through thin lenslets, pinned when the oracle still
+    # traced them as a single surface.
+    @pytest.mark.parametrize("maxval, digest", [
+        (65535, "4093c55a7790078898607e1b50d39fd74ca7f701a6bee5b5cf1a407411e3451c"),
+        (255, "6256e5e264879709102588d32579be6c797a895704e340494afc9aab96974804"),
+    ])
+    def test_thin_lenslet_scene_bytes_pinned(self, tmp_path, maxval, digest):
+        assert _render_small_scene(tmp_path, "lytro_f51p4", maxval) == digest
 
     def test_maxval_out_of_range_is_an_error(self, capsys, tmp_path, f197_cfg_path):
         scene = tmp_path / "scene.txt"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plenax as px
-from plenax.configio import _ALLOWED, ConfigError
+from plenax.configio import _KEYS, ConfigError
 
 VALID = """\
 [sensor]
@@ -210,9 +210,9 @@ def malformed_configs(draw):
         section, key = draw(st.sampled_from([("sensor", "micro_image_px"), ("mla", "lenses_h")]))
         value = str(2 * draw(st.integers(-3, 600)))
     else:
-        section = draw(st.sampled_from(sorted(_ALLOWED)))
+        section = draw(st.sampled_from(sorted(_KEYS)))
         key = draw(st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True).filter(
-            lambda k: all(k not in allowed for allowed in _ALLOWED.values())
+            lambda k: all(k not in allowed for allowed in _KEYS.values())
         ))
         value = "1.0"
     return _with_key(text, section, key, value), section, key

@@ -566,12 +566,11 @@ class TestMapIo:
 class TestGraymap:
     def test_linear_scale_and_invalid_to_zero(self):
         values = np.array([[0.0, 1.0, 2.0], [np.nan, np.inf, 1.0]])
-        g = px.to_graymap(values, maxval=100)
-        assert g.dtype == np.uint8
-        assert g[0, 0] == 0 and g[0, 2] == 100 and g[0, 1] == 50
+        g = px.to_graymap(values)
+        assert g.dtype == np.uint16
+        assert g[0, 0] == 0 and g[0, 2] == 65535 and g[0, 1] == 32768
         assert g[1, 0] == 0 and g[1, 1] == 0
-        assert px.to_graymap(values).dtype == np.uint16
 
     def test_constant_map_maps_to_mid_scale(self):
-        g = px.to_graymap(np.full((2, 2), 3.7), maxval=1000)
-        assert np.all(g == 500)
+        g = px.to_graymap(np.full((2, 2), 3.7))
+        assert np.all(g == 32767)

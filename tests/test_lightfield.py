@@ -1,5 +1,6 @@
 """Raw mosaic decoding, view extraction, and PGM round trips."""
 
+import math
 import re
 import tracemalloc
 
@@ -190,6 +191,26 @@ class TestPgm:
         img = np.array([[300]], dtype=np.uint16)
         with pytest.raises(ValueError):
             px.write_pgm(tmp_path / "over.pgm", img, maxval=255)
+
+    @pytest.mark.parametrize("maxval", [0, 65536, 70000])
+    def test_maxval_outside_read_range_rejected(self, tmp_path, maxval):
+        # read_pgm rejects these; 16 bits would store the sample 70000 as 4464.
+        img = np.array([[0, 70000]]) if maxval == 70000 else np.zeros((2, 2), np.uint16)
+        with pytest.raises(ValueError, match=rf"m\.pgm: maxval {maxval} outside"):
+            px.write_pgm(tmp_path / "m.pgm", img, maxval=maxval)
+
+    @pytest.mark.parametrize("value", [2.7, math.nan, math.inf, -math.inf])
+    def test_non_integer_samples_rejected(self, tmp_path, value):
+        # A cast would store 2.7 as 2; NaN and inf have no integer at all.
+        with pytest.raises(ValueError, match=r"f\.pgm: graymap samples must be finite integers"):
+            px.write_pgm(tmp_path / "f.pgm", np.array([[1.0, value]]), maxval=255)
+
+    def test_whole_float_samples_round_trip(self, tmp_path):
+        path = tmp_path / "w.pgm"
+        px.write_pgm(path, np.array([[0.0, 7.0], [300.0, 2.0]]))
+        back, maxval = px.read_pgm(path)
+        assert maxval == 65535
+        assert np.array_equal(back, [[0, 7], [300, 2]])
 
 
 @st.composite

@@ -155,6 +155,39 @@ class TestSpecs:
         with pytest.raises(ValueError):
             px.MicroLensSpec(focal_length_mm=1.25, pitch_mm=0.125, count_h=0, count_v=3)
 
+    def test_prescription_alone_sets_focal_length_and_gap(self):
+        prescription = (1.1, 1.5626, 0.70325, -math.inf)
+        mla = px.MicroLensSpec(None, 0.125, 3, 3, *prescription)
+        assert (mla.focal_length_mm, mla.principal_gap_mm) == px.mla_cardinal_points(
+            *prescription
+        )
+
+    def test_principal_gap_is_derived_not_given(self):
+        # A given gap would replace the derived one, which the oracle traces.
+        with pytest.raises(TypeError, match="principal_gap_mm"):
+            px.MicroLensSpec(
+                1.25, 0.125, 3, 3, 1.1, 1.5626, 0.70325, -math.inf, principal_gap_mm=5.0
+            )
+        assert px.MicroLensSpec(1.25, 0.125, 3, 3).principal_gap_mm is None
+
+    def test_focal_length_needs_a_full_prescription(self):
+        with pytest.raises(ValueError, match="focal_length_mm is required"):
+            px.MicroLensSpec(None, 0.125, 3, 3)
+        with pytest.raises(ValueError, match="missing refractive_index, radius_back_mm$"):
+            px.MicroLensSpec(None, 0.125, 3, 3, thickness_mm=1.1, radius_front_mm=0.70325)
+
+    def test_thin_lenslet_is_all_front_power(self):
+        mla = px.MicroLensSpec(2.5, 0.125, 3, 3)
+        assert mla.power_front_per_mm == 1.0 / 2.5
+        surfaces = (
+            mla.power_back_per_mm,
+            mla.axial_thickness_mm,
+            mla.reduced_thickness_mm,
+            mla.h1_from_front_mm,
+            mla.h2_from_back_mm,
+        )
+        assert surfaces == (0.0,) * 5
+
     def test_main_lens_image_distance_inf_defaults_to_focal_length(self):
         lens = px.MainLensSpec(
             focal_length_mm=197.1264, exit_pupil_inf_mm=100.5, principal_gap_mm=147.4618

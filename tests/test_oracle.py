@@ -1,12 +1,13 @@
 """Surface-by-surface ray trace checks and the synthetic scene renderer."""
 
 import math
+import re
 import string
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import plenax as px
@@ -81,6 +82,47 @@ class TestLensletElements:
             px.mla_surface_elements(mla, center_mm=0.5),
         )
         assert out.slope == 0.0
+
+
+def _prescribed_fixtures():
+    return [n for n in px.fixture_names() if "t_mm" in px.fixture_path(n).read_text()]
+
+
+@st.composite
+def curved_back_configs(draw):
+    """A prescribed fixture's text with a generated lenslet in place of its
+    own: a finite back radius of either sign, and no f_s_mm."""
+    text = px.fixture_path(draw(st.sampled_from(_prescribed_fixtures()))).read_text()
+    prescription = {
+        "t_mm": draw(st.floats(0.2, 2.0)),
+        "n": draw(st.floats(1.4, 1.9)),
+        "r1_mm": draw(st.floats(0.5, 4.0)),
+        "r2_mm": draw(st.floats(1.0, 20.0)) * draw(st.sampled_from([-1.0, 1.0])),
+    }
+    f, _ = px.mla_cardinal_points(*prescription.values())
+    assume(0.5 <= f <= 6.0)
+    text = re.sub(r"^f_s_mm = .*\n", "", text, flags=re.M)
+    for key, value in prescription.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value!r}", text, flags=re.M)
+    return text
+
+
+class TestCurvedBackLenslets:
+    # Every shipped lenslet is plano-convex, so the thick-lens cross term
+    # front * back * t / n is zero on all of them; these are not.
+    @settings(max_examples=40, deadline=None)
+    @given(curved_back_configs())
+    def test_trace_focuses_and_agrees(self, text):
+        config = px.parse_config(text)
+        mla = config.mla
+        assert math.isfinite(mla.radius_back_mm) and "f_s_mm" not in text
+        ray = px.trace(px.TracedRay(height_mm=0.01, slope=0.0), px.mla_surface_elements(mla))
+        # A parallel ray crosses the axis one focal length behind the
+        # image-side principal plane, which sits h2 behind the back vertex.
+        crossing = -ray.height_mm / ray.slope
+        assert crossing - mla.h2_from_back_mm == pytest.approx(mla.focal_length_mm, rel=1e-12)
+        outcomes = px.run_consistency_checks(config)
+        assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
 
 
 def _loop_simulate_virtual_cameras(config, state):
