@@ -3,7 +3,6 @@
 import hashlib
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
