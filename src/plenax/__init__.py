@@ -40,7 +40,6 @@ from .optics import (
     MicroLensSpec,
     SensorSpec,
     derive_focus_state,
-    exit_pupil_at_focus,
     mla_cardinal_points,
     solve_image_distance,
 )
@@ -70,19 +69,12 @@ from .raymodel import (
     StereoRig,
     TriangulationQuery,
     VirtualCameraArray,
-    baseline,
     build_virtual_camera_array,
-    chief_slope,
     disparity_for_distance,
     entrance_pupil_distance,
-    front_vertex_to_entrance_pupil,
     measure_baseline,
     measure_tilt,
-    mic_position,
-    micro_image_sample,
-    micro_lens_height,
     object_ray,
-    relative_tilt,
     stereo_depth,
     triangulate,
 )
@@ -111,27 +103,20 @@ __all__ = [
     "TriangulationQuery",
     "VirtualCameraArray",
     "VirtualCameraSimulation",
-    "baseline",
     "block_match",
     "build_virtual_camera_array",
-    "chief_slope",
     "decode",
     "derive_focus_state",
     "disparity_for_distance",
     "entrance_pupil_distance",
-    "exit_pupil_at_focus",
     "extract_all_views",
     "extract_view",
     "fixture_names",
     "fixture_path",
-    "front_vertex_to_entrance_pupil",
     "load_config",
     "load_fixture",
     "measure_baseline",
     "measure_tilt",
-    "mic_position",
-    "micro_image_sample",
-    "micro_lens_height",
     "mla_cardinal_points",
     "mla_surface_elements",
     "object_ray",
@@ -139,7 +124,6 @@ __all__ = [
     "parse_scene",
     "read_map_csv",
     "read_pgm",
-    "relative_tilt",
     "render_synthetic_scene",
     "run_consistency_checks",
     "run_factory_checks",

@@ -151,6 +151,8 @@ def cmd_depth(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # Fail before the scene is traced, under the name of the file not written.
+    lightfield._check_maxval(args.out, args.maxval)
     config = load_config(args.config)
     scene_path = Path(args.scene)
     try:

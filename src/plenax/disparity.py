@@ -370,13 +370,19 @@ def write_map_csv(path: str | Path, values: np.ndarray, header: dict | None = No
 
 
 def read_map_csv(path: str | Path) -> np.ndarray:
-    """Read a grid written by write_map_csv (header lines ignored)."""
+    """Read a grid written by write_map_csv (header lines ignored).
+
+    A cell that is not a number raises ValueError naming the path and line.
+    """
     rows = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(cell) for cell in line.split(",")])
+        try:
+            rows.append([float(cell) for cell in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
     if not rows:
         return np.zeros((0, 0))
     widths = {len(r) for r in rows}

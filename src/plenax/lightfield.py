@@ -142,7 +142,7 @@ def _read_header(f, path) -> tuple[bool, int, int, int]:
 
 
 def _check_maxval(path, maxval: int) -> None:
-    """The one maxval rule, for reading and writing: 0 < maxval < 65536."""
+    """The one maxval rule, for reading, writing and rendering: 0 < maxval < 65536."""
     if not (0 < maxval < 65536):
         raise ValueError(f"{path}: maxval {maxval} outside (0, 65536)")
 
@@ -198,9 +198,10 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
 
     Args:
         path: Destination file.
-        samples: Nonnegative whole values, each <= maxval. Float samples
-            must hold whole numbers; they are never rounded.
-        maxval: Declared maximum in (0, 65536); defaults to 255 or 65535
+        samples: Nonnegative whole values, each <= maxval: bool, integer or
+            float. Float samples must hold whole numbers; they are never
+            rounded.
+        maxval: Declared maximum, 1 to 65535; defaults to 255 or 65535
             depending on the data's actual maximum.
 
     Raises:
@@ -210,7 +211,9 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise ValueError(f"{path}: samples must be 2-D, got shape {arr.shape}")
-    if arr.dtype.kind not in "biu":
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{path}: graymap samples must be numeric, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f":
         whole = np.isfinite(arr) & (np.floor(arr) == arr)
         if not whole.all():
             bad = arr[~whole][0]

@@ -86,6 +86,11 @@ class MicroLensSpec:
         if self.focal_length_mm is None:
             if lens is None:
                 raise ValueError("focal_length_mm is required without a full lens prescription")
+            if not lens.focal_length > 0:
+                raise ValueError(
+                    f"the prescription {', '.join(names)} gives focal length "
+                    f"{lens.focal_length}, which must be > 0"
+                )
             object.__setattr__(self, "focal_length_mm", lens.focal_length)
         if not self.focal_length_mm > 0:
             raise ValueError(f"focal_length_mm must be > 0, got {self.focal_length_mm}")
@@ -354,36 +359,16 @@ def solve_image_distance(
     return 2.0 * focal_length_mm / (1.0 + math.sqrt(1.0 - 4.0 * focal_length_mm / span))
 
 
-def exit_pupil_at_focus(
-    b_u_mm: float, b_u_inf_mm: float, exit_pupil_inf_mm: float
-) -> float:
-    """Exit pupil distance from the MLA at an arbitrary focus.
-
-    The pupil rides with the image distance: b_u - d_ap is a lens-internal
-    constant, fixed by the infinity-focus pair.
-
-    Args:
-        b_u_mm: Image distance at the focus of interest.
-        b_u_inf_mm: Image distance at infinity focus.
-        exit_pupil_inf_mm: Exit pupil distance at infinity focus.
-
-    Returns:
-        The exit pupil distance d_ap in mm.
-    """
-    if b_u_mm <= 0 or b_u_inf_mm <= 0 or exit_pupil_inf_mm <= 0:
-        raise ValueError("exit_pupil_at_focus requires positive distances")
-    return b_u_mm - (b_u_inf_mm - exit_pupil_inf_mm)
-
-
 def derive_focus_state(config: CameraConfig) -> FocusState:
     """Solve the focus-dependent distances for a camera configuration."""
     lens = config.main_lens
     b_u = solve_image_distance(
         lens.focal_length_mm, lens.principal_gap_mm, config.focus.d_f_mm
     )
-    d_ap = exit_pupil_at_focus(
-        b_u, lens.image_distance_inf_mm, lens.exit_pupil_inf_mm
-    )
+    # The exit pupil rides with the image distance: b_u - d_ap is a
+    # lens-internal constant, fixed by the infinity-focus pair. MainLensSpec
+    # has checked both of those, and b_u is positive.
+    d_ap = b_u - (lens.image_distance_inf_mm - lens.exit_pupil_inf_mm)
     # The object distance closes the span, inf at infinity focus.
     a_u = config.focus.d_f_mm - b_u - lens.principal_gap_mm
     return FocusState(b_u_mm=b_u, d_ap_mm=d_ap, a_u_mm=a_u)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lightfield import RawLightFieldImage, read_pgm
+from .lightfield import RawLightFieldImage, _check_maxval, read_pgm
 from .optics import INFINITY, CameraConfig, FocusState, MicroLensSpec, derive_focus_state
 
 
@@ -392,8 +392,7 @@ def render_synthetic_scene(
     (i, g) under lenslet column j, row h lands at mosaic position
     (h * m + c + g, j * m + c + i).
     """
-    if not 0 < maxval < 65536:
-        raise ValueError(f"maxval {maxval} outside (0, 65536)")
+    _check_maxval("render_synthetic_scene", maxval)
     if state is None:
         state = derive_focus_state(config)
     planes = sorted(planes, key=lambda p: p.depth_mm)

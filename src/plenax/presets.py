@@ -211,9 +211,7 @@ def _evaluate(check: ReferenceCheck, config: CameraConfig, state, array) -> Chec
                 check.label, check.expected, math.nan, check.tolerance,
                 passed=True, note="skipped: front vertex position not given",
             )
-        got = raymodel.front_vertex_to_entrance_pupil(
-            v1h1, raymodel.entrance_pupil_distance(state, config)
-        )
+        got = v1h1 + raymodel.entrance_pupil_distance(state, config)
     else:
         raise ValueError(f"unknown check kind {check.kind!r}")
 

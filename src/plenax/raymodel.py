@@ -3,10 +3,11 @@
 Each pixel under a micro lens, taken together with that lens's optical
 centre, fixes a chief ray. Rays sharing the same intra-micro-image offset i
 leave the main lens through one common point on the entrance pupil, so every
-viewpoint behaves like a pinhole camera sitting on the pupil. This module
-computes those virtual camera positions, their tilt angles, the baselines
-between them, and object distances triangulated from disparities, all in
-closed form.
+viewpoint behaves like a pinhole camera sitting on the pupil. The module
+follows that one chain in closed form: object_ray takes a sample to its
+object-space ray, build_virtual_camera_array puts each viewpoint's pinhole
+and axis on the pupil, VirtualCameraArray.pair gives a pair's baseline B
+and relative tilt phi, and triangulate turns a disparity into a distance Z.
 
 Coordinate conventions: the optical axis is z, increasing from the sensor
 toward object space. Object-side ray heights are evaluated at a distance z
@@ -91,51 +92,38 @@ def _central_index(config: CameraConfig) -> float:
     return (config.mla.count_h - 1) / 2.0
 
 
-def micro_lens_height(j: float, config: CameraConfig) -> float:
-    """Height s_j of micro lens j's optical centre above the axis."""
-    if not 0 <= j < config.mla.count_h:
-        raise ValueError(f"micro lens index {j} outside [0, {config.mla.count_h})")
-    return (j - _central_index(config)) * config.mla.pitch_mm
-
-
-def mic_position(j: float, state: FocusState, config: CameraConfig) -> float:
-    """Micro image centre under lens j.
-
-    The centre is where the chief ray from the exit pupil's centre through
-    the lens's optical centre meets the sensor, one micro lens focal length
-    behind the MLA plane.
-    """
-    s_j = micro_lens_height(j, config)
-    return (s_j / state.d_ap_mm) * config.mla.focal_length_mm + s_j
-
-
-def micro_image_sample(
-    j: float, i: int, state: FocusState, config: CameraConfig
-) -> float:
-    """Sensor position of the pixel at offset i from micro image centre j."""
-    c = config.sensor.half_span
-    if abs(i) > c:
-        raise ValueError(f"viewpoint offset {i} outside [-{c}, {c}]")
-    return mic_position(j, state, config) + i * config.sensor.pixel_pitch_mm
-
-
-def chief_slope(j: float, i: int, state: FocusState, config: CameraConfig) -> float:
-    """Image-side slope of the chief ray from sample (j, i) through lens j."""
-    s_j = micro_lens_height(j, config)
-    u = micro_image_sample(j, i, state, config)
-    return (s_j - u) / config.mla.focal_length_mm
-
-
 def object_ray(j: float, i: int, state: FocusState, config: CameraConfig) -> ChiefRay:
     """Object-space continuation of the chief ray from sample (j, i).
 
-    The image-side ray travels from the MLA to the main lens plane, refracts
-    once with the lens's power, and leaves through the object-side principal
-    plane. The returned ray maps z (distance from that plane, positive
-    toward the scene) to lateral height.
+    One chain, in this order, with J lenses of pitch p_m and focal length
+    f_s, pixel pitch p_p, exit pupil distance d_ap, image distance b_u and
+    main lens focal length f_u:
+
+        s_j = (j - (J - 1) / 2) * p_m     height of lens j's optical centre
+        mic = (s_j / d_ap) * f_s + s_j    micro image centre, where the ray
+                                          from the exit pupil's centre
+                                          through the lens meets the sensor
+        u = mic + i * p_p                 the sample i pixels from mic
+        m = (s_j - u) / f_s               image-side slope, sample to lens
+        x = m * b_u + s_j                 height at the main lens
+        slope = m - x / f_u               one refraction with its power
+
+    The returned ray has intercept x and maps z (distance from the
+    object-side principal plane, positive toward the scene) to height.
+
+    Raises:
+        ValueError: j outside [0, J), or |i| above the sensor's half span.
     """
-    s_j = micro_lens_height(j, config)
-    m = chief_slope(j, i, state, config)
+    mla = config.mla
+    if not 0 <= j < mla.count_h:
+        raise ValueError(f"micro lens index {j} outside [0, {mla.count_h})")
+    c = config.sensor.half_span
+    if abs(i) > c:
+        raise ValueError(f"viewpoint offset {i} outside [-{c}, {c}]")
+    s_j = (j - _central_index(config)) * mla.pitch_mm
+    mic = (s_j / state.d_ap_mm) * mla.focal_length_mm + s_j
+    u = mic + i * config.sensor.pixel_pitch_mm
+    m = (s_j - u) / mla.focal_length_mm
     intercept = m * state.b_u_mm + s_j
     slope = m - intercept / config.main_lens.focal_length_mm
     return ChiefRay(slope=slope, intercept_mm=intercept)
@@ -155,7 +143,7 @@ def entrance_pupil_distance(state: FocusState, config: CameraConfig) -> float:
     """
     f_u = config.main_lens.focal_length_mm
     # delta is the focus-invariant offset between the exit pupil and the
-    # image distance; see exit_pupil_at_focus.
+    # image distance; see derive_focus_state.
     delta = state.d_ap_mm - state.b_u_mm
     if f_u + delta == 0:
         raise ValueError("entrance pupil lies at infinity for this lens")
@@ -224,17 +212,20 @@ class VirtualCameraArray:
 
         The pair is viewpoints i and i + gap with i = -floor(gap / 2): valid
         for every gap in [1, 2c], and the adjacent pair (0, 1) at gap 1. The
-        rig carries the pair's baseline B, the virtual image distance b_n and
-        the relative tilt phi.
+        rig carries the pair's baseline B = |A_(i+gap) - A_i|, the virtual
+        image distance b_n and the relative tilt phi = |Phi_(i+gap) - Phi_i|.
+        The two axes turn toward each other whenever the camera focuses
+        closer than infinity, so phi is a magnitude, zero exactly at
+        infinity focus.
         """
         span = 2 * self.half_span
         if not 1 <= gap <= span:
             raise ValueError(f"gap must lie in [1, {span}], the array's span, got {gap}")
         i = -(gap // 2)
         return StereoRig(
-            baseline_mm=baseline(self, i, gap),
+            baseline_mm=abs(self.position(i + gap) - self.position(i)),
             image_distance_mm=self.virtual_image_distance_mm,
-            tilt_rad=relative_tilt(self, i, gap),
+            tilt_rad=abs(self.tilt(i + gap) - self.tilt(i)),
         )
 
 
@@ -306,28 +297,6 @@ class TriangulationQuery:
             raise ValueError("disparity_px must be finite")
 
 
-def baseline(array: VirtualCameraArray, i: int, gap: int) -> float:
-    """Baseline B_G between viewpoints i and i + gap in mm.
-
-    Equal spacing makes the result independent of i.
-    """
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    return abs(array.position(i + gap) - array.position(i))
-
-
-def relative_tilt(array: VirtualCameraArray, i: int, gap: int) -> float:
-    """Magnitude of the axis angle between viewpoints i and i + gap, radians.
-
-    Both cameras of a pair tilt toward each other whenever the camera
-    focuses closer than infinity, so the relative angle is reported as a
-    magnitude; it is zero exactly at infinity focus.
-    """
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    return abs(array.tilt(i + gap) - array.tilt(i))
-
-
 def triangulate(array: VirtualCameraArray, query: TriangulationQuery) -> float:
     """Object distance from the entrance pupil for an observed disparity.
 
@@ -396,14 +365,3 @@ def measure_tilt(
     rig = array.pair(query.gap)
     dx_mm = query.disparity_px * array.virtual_pixel_pitch_mm
     return math.atan(baseline_mm / z_mm - dx_mm / rig.image_distance_mm)
-
-
-def front_vertex_to_entrance_pupil(v1_h1_mm: float, a_h1_mm: float) -> float:
-    """Entrance pupil position measured from the lens's front vertex.
-
-    Args:
-        v1_h1_mm: Front vertex to object-side principal plane distance.
-        a_h1_mm: Signed pupil position from that plane, as returned by
-            entrance_pupil_distance.
-    """
-    return v1_h1_mm + a_h1_mm

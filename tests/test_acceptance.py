@@ -103,24 +103,24 @@ def test_reference_baselines(configs, states):
     array = px.build_virtual_camera_array(
         states["f197_mla2_inf"], configs["f197_mla2_inf"]
     )
-    assert px.baseline(array, -2, 4) == pytest.approx(2.5806, abs=5e-4)
-    assert px.baseline(array, -4, 8) == pytest.approx(5.1611, abs=5e-4)
+    assert array.pair(4).baseline_mm == pytest.approx(2.5806, abs=5e-4)
+    assert array.pair(8).baseline_mm == pytest.approx(5.1611, abs=5e-4)
     for name, (b_6, _) in WIDE_PAIR_REFERENCE.items():
         array = px.build_virtual_camera_array(states[name], configs[name])
-        assert px.baseline(array, -3, 6) == pytest.approx(b_6, abs=5e-4), name
+        assert array.pair(6).baseline_mm == pytest.approx(b_6, abs=5e-4), name
 
 
 def test_reference_tilt_angles(configs, states):
     array = px.build_virtual_camera_array(
         states["f197_mla2_4m"], configs["f197_mla2_4m"]
     )
-    phi_4 = math.degrees(abs(px.relative_tilt(array, -2, 4)))
-    phi_8 = math.degrees(abs(px.relative_tilt(array, -4, 8)))
+    phi_4 = math.degrees(array.pair(4).tilt_rad)
+    phi_8 = math.degrees(array.pair(8).tilt_rad)
     assert phi_4 == pytest.approx(0.0429, abs=5e-4)
     assert phi_8 == pytest.approx(0.0857, abs=5e-4)
     for name, (_, phi_6) in WIDE_PAIR_REFERENCE.items():
         array = px.build_virtual_camera_array(states[name], configs[name])
-        got = math.degrees(abs(px.relative_tilt(array, -3, 6)))
+        got = math.degrees(array.pair(6).tilt_rad)
         assert got == pytest.approx(phi_6, abs=5e-4), name
 
 
@@ -145,8 +145,8 @@ def test_compact_camera_baseline_estimates(configs, states):
     }
     for name, (b_1, b_8) in expected.items():
         array = px.build_virtual_camera_array(states[name], configs[name])
-        assert round(px.baseline(array, 0, 1), 4) == b_1, name
-        assert round(px.baseline(array, -4, 8), 4) == b_8, name
+        assert round(array.pair(1).baseline_mm, 4) == b_1, name
+        assert round(array.pair(8).baseline_mm, 4) == b_8, name
 
 
 def test_ray_trace_oracle_agrees_with_closed_form(configs, states):
@@ -166,7 +166,7 @@ def test_ray_trace_oracle_agrees_with_closed_form(configs, states):
             assert close(sim.positions_mm[i + c], array.position(i)), (name, i)
             assert close(sim.tilt_angles_rad[i + c], array.tilt(i)), (name, i)
         traced_b6 = abs(sim.positions_mm[c + 3] - sim.positions_mm[c - 3])
-        assert close(traced_b6, px.baseline(array, -3, 6)), name
+        assert close(traced_b6, array.pair(6).baseline_mm), name
 
 
 def test_model_property_suite(configs, states):
@@ -194,9 +194,9 @@ def test_model_property_suite(configs, states):
         )
         q = px.TriangulationQuery(gap, dx)
         b = px.measure_baseline(q, z, array)
-        assert b == pytest.approx(px.baseline(array, -(gap // 2), gap), rel=1e-9)
+        assert b == pytest.approx(array.pair(gap).baseline_mm, rel=1e-9)
         phi = px.measure_tilt(q, z, b, array)
-        assert phi == pytest.approx(px.relative_tilt(array, -(gap // 2), gap), abs=1e-9)
+        assert phi == pytest.approx(array.pair(gap).tilt_rad, abs=1e-9)
 
     # Mosaic decode and flatten are mutually inverse, bit for bit.
     rng = np.random.default_rng(99)
@@ -241,15 +241,12 @@ def test_bench_measurements_within_one_percent(configs, states):
     for name, (front_pupil, b_6, phi_6) in MEASURED_PAIRS.items():
         config, state = configs[name], states[name]
         array = px.build_virtual_camera_array(state, config)
-        v1 = px.front_vertex_to_entrance_pupil(
-            config.main_lens.front_vertex_to_h1_mm,
-            px.entrance_pupil_distance(state, config),
+        v1 = config.main_lens.front_vertex_to_h1_mm + px.entrance_pupil_distance(
+            state, config
         )
         sane(v1, front_pupil, (name, "front pupil"))
-        sane(px.baseline(array, -3, 6), b_6, (name, "baseline"))
-        sane(
-            math.degrees(abs(px.relative_tilt(array, -3, 6))), phi_6, (name, "tilt")
-        )
+        sane(array.pair(6).baseline_mm, b_6, (name, "baseline"))
+        sane(math.degrees(array.pair(6).tilt_rad), phi_6, (name, "tilt"))
     for name, rows in MEASURED_DISTANCES.items():
         array = px.build_virtual_camera_array(states[name], configs[name])
         for dx, measured in rows.items():

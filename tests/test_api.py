@@ -26,27 +26,20 @@ PUBLIC = [
     "VirtualCameraArray",
     "VirtualCameraSimulation",
     "__version__",
-    "baseline",
     "block_match",
     "build_virtual_camera_array",
-    "chief_slope",
     "decode",
     "derive_focus_state",
     "disparity_for_distance",
     "entrance_pupil_distance",
-    "exit_pupil_at_focus",
     "extract_all_views",
     "extract_view",
     "fixture_names",
     "fixture_path",
-    "front_vertex_to_entrance_pupil",
     "load_config",
     "load_fixture",
     "measure_baseline",
     "measure_tilt",
-    "mic_position",
-    "micro_image_sample",
-    "micro_lens_height",
     "mla_cardinal_points",
     "mla_surface_elements",
     "object_ray",
@@ -54,7 +47,6 @@ PUBLIC = [
     "parse_scene",
     "read_map_csv",
     "read_pgm",
-    "relative_tilt",
     "render_synthetic_scene",
     "run_consistency_checks",
     "run_factory_checks",

@@ -216,12 +216,14 @@ class TestRenderBytes:
     def test_maxval_out_of_range_is_an_error(self, capsys, tmp_path, f197_cfg_path):
         scene = tmp_path / "scene.txt"
         scene.write_text("plane 1500 checker 0.9\n")
+        out = tmp_path / "o.pgm"
         code, _, err = run(
-            capsys, "render", f197_cfg_path, str(scene), str(tmp_path / "o.pgm"),
-            "--maxval", "70000",
+            capsys, "render", f197_cfg_path, str(scene), str(out), "--maxval", "70000"
         )
         assert code == 1
         assert "maxval 70000" in err
+        assert str(out) in err
+        assert not out.exists()
 
 
 class TestDisparityCommand:
@@ -282,6 +284,17 @@ class TestDisparityCommand:
 
 
 class TestDepthCommand:
+    def test_bad_cell_names_path_and_line(self, capsys, tmp_path, f197_cfg_path):
+        disp = tmp_path / "bad.csv"
+        disp.write_text("# header\n1.0,2.0\n1.0,x\n")
+        out = tmp_path / "z.csv"
+        code, _, err = run(
+            capsys, "depth", f197_cfg_path, str(disp), "--gap", "1", "--out", str(out)
+        )
+        assert code == 1
+        assert f"{disp}:3: could not convert string to float: 'x'" in err
+        assert not out.exists()
+
     def test_nan_propagates_and_inf_for_zero(self, tmp_path, f197_cfg_path):
         disp = tmp_path / "d.csv"
         px.write_map_csv(disp, np.array([[0.0, np.nan], [2.0, 4.0]]))

@@ -143,6 +143,16 @@ class TestPrescriptionErrors:
         assert message.startswith(f"{path}: [mla] ")
         assert re.search(rf"\b{key}\b", message), message
 
+    def test_negative_derived_focal_length_names_the_prescription(self):
+        # The file holds no f_s_mm, so the error names the keys it does hold.
+        text = px.fixture_path("f197_mla2_inf").read_text()
+        text = _with_key(_with_key(text, "mla", "f_s_mm", None), "mla", "r1_mm", "-1.54715")
+        with pytest.raises(ConfigError, match=r"^<config>: \[mla\] ") as info:
+            px.parse_config(text)
+        message = str(info.value)
+        assert "t_mm, n, r1_mm, r2_mm" in message, message
+        assert "f_s_mm" not in message, message
+
 
 def _with_key(text, section, key, value):
     """text with key set to value, removed when value is None, added if absent.

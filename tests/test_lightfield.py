@@ -205,6 +205,13 @@ class TestPgm:
         with pytest.raises(ValueError, match=r"f\.pgm: graymap samples must be finite integers"):
             px.write_pgm(tmp_path / "f.pgm", np.array([[1.0, value]]), maxval=255)
 
+    @pytest.mark.parametrize("samples", [np.array([["a"]]), np.array([[1 + 2j]])])
+    def test_non_numeric_samples_rejected(self, tmp_path, samples):
+        path = tmp_path / "n.pgm"
+        with pytest.raises(ValueError, match=r"n\.pgm: graymap samples must be numeric"):
+            px.write_pgm(path, samples)
+        assert not path.exists()
+
     def test_whole_float_samples_round_trip(self, tmp_path):
         path = tmp_path / "w.pgm"
         px.write_pgm(path, np.array([[0.0, 7.0], [300.0, 2.0]]))

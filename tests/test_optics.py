@@ -130,13 +130,22 @@ class TestMlaCardinalPoints:
 
 
 class TestExitPupil:
-    def test_tracks_image_distance_shift(self):
-        assert px.exit_pupil_at_focus(207.3134, 193.2935, 111.0324) == pytest.approx(
-            125.0523, abs=1e-9
-        )
+    def test_tracks_image_distance_shift(self, configs, states):
+        # b_u - d_ap is a property of the main lens, whatever the focus.
+        offsets = {}
+        for name, config in configs.items():
+            state = states[name]
+            offsets.setdefault(config.main_lens, []).append(state.b_u_mm - state.d_ap_mm)
+        # The f193, f197 and f90 lenses each come at several focus settings.
+        assert sorted(len(values) for values in offsets.values()) == [1, 1, 2, 3, 6]
+        for values in offsets.values():
+            assert len(set(values)) == 1, values
 
-    def test_at_infinity_is_identity(self):
-        assert px.exit_pupil_at_focus(193.2935, 193.2935, 111.0324) == 111.0324
+    def test_at_infinity_is_identity(self, configs, states):
+        at_inf = [name for name, config in configs.items() if config.focus.d_f_mm == math.inf]
+        assert len(at_inf) == 6
+        for name in at_inf:
+            assert states[name].d_ap_mm == configs[name].main_lens.exit_pupil_inf_mm, name
 
 
 class TestSpecs:

@@ -9,28 +9,32 @@ import plenax as px
 
 
 class TestChiefRayChain:
-    def test_micro_lens_height_is_centred(self, f197):
-        config = f197.config
-        assert px.micro_lens_height(140, config) == 0.0
-        assert px.micro_lens_height(141, config) == 0.125
-        assert px.micro_lens_height(139, config) == -0.125
+    @pytest.mark.parametrize(
+        "j, i, slope, intercept",
+        [
+            (141, 3, "-0.0006341109054900807", "-2.0556049259158753"),
+            (0, -6, "0.08877552676861142", "20.69633821004063"),
+            (280, 6, "-0.08877552676861142", "-20.69633821004063"),
+        ],
+        ids=["lens141-offset3", "lens0-offset-6", "lens280-offset6"],
+    )
+    def test_object_ray_pins(self, f197, j, i, slope, intercept):
+        # The chain from lens height to refraction, bit for bit.
+        ray = px.object_ray(j, i, f197.state, f197.config)
+        assert (repr(ray.slope), repr(ray.intercept_mm)) == (slope, intercept)
 
-    def test_mic_position_magnifies_lens_height(self, f197):
-        # The centre ray from the exit pupil continues past the lens by the
-        # focal length, scaling the lens height by (f_s/d_ap + 1).
-        mic = px.mic_position(141, f197.state, f197.config)
-        assert mic == pytest.approx(0.12842039800995025, abs=1e-15)
-        assert px.mic_position(140, f197.state, f197.config) == 0.0
-
-    def test_micro_image_sample_offsets_by_pixels(self, f197):
-        mic = px.mic_position(141, f197.state, f197.config)
-        u = px.micro_image_sample(141, 3, f197.state, f197.config)
-        assert u == pytest.approx(mic + 3 * 0.009, abs=1e-15)
-
-    def test_chief_slope_spans_pupil_to_lens(self, f197):
-        # Sensor-side chief ray: from the pupil centre down to the lens.
-        slope = px.chief_slope(139, 0, f197.state, f197.config)
-        assert slope == pytest.approx((-0.125 - px.micro_image_sample(139, 0, f197.state, f197.config)) / 2.75, rel=1e-12)
+    @pytest.mark.parametrize(
+        "j, i, message",
+        [
+            (-1, 0, r"micro lens index -1 outside \[0, 281\)"),
+            (281, 0, r"micro lens index 281 outside \[0, 281\)"),
+            (140, 7, r"viewpoint offset 7 outside \[-6, 6\]"),
+        ],
+        ids=["lens-1", "lens281", "offset7"],
+    )
+    def test_indices_outside_the_rig_rejected(self, f197, j, i, message):
+        with pytest.raises(ValueError, match=message):
+            px.object_ray(j, i, f197.state, f197.config)
 
     def test_object_ray_reference_plane(self, f197):
         ray = px.object_ray(141, 2, f197.state, f197.config)
@@ -67,9 +71,7 @@ class TestEntrancePupil:
     def test_front_vertex_composition(self, configs, states):
         config = configs["f193_mla2_inf"]
         z_a = px.entrance_pupil_distance(states["f193_mla2_inf"], config)
-        v1 = px.front_vertex_to_entrance_pupil(
-            config.main_lens.front_vertex_to_h1_mm, z_a
-        )
+        v1 = config.main_lens.front_vertex_to_h1_mm + z_a
         assert v1 == pytest.approx(240.2113, abs=1e-6)
 
 
@@ -151,7 +153,8 @@ class TestTriangulation:
         assert max(values) - min(values) <= 1e-12 * abs(values[0])
 
     def test_baseline_independent_of_anchor(self, f197):
-        baselines = {px.baseline(f197.array, i, 4) for i in range(-6, 3)}
+        array = f197.array
+        baselines = {abs(array.position(i + 4) - array.position(i)) for i in range(-6, 3)}
         assert max(baselines) - min(baselines) <= 1e-12
 
     def test_round_trips(self, configs, states):
@@ -163,11 +166,9 @@ class TestTriangulation:
             assert back == pytest.approx(z, rel=1e-9)
             query = px.TriangulationQuery(gap, dx)
             b = px.measure_baseline(query, z, array)
-            assert b == pytest.approx(px.baseline(array, -(gap // 2), gap), rel=1e-9)
+            assert b == pytest.approx(array.pair(gap).baseline_mm, rel=1e-9)
             phi = px.measure_tilt(query, z, b, array)
-            assert phi == pytest.approx(
-                px.relative_tilt(array, -(gap // 2), gap), abs=1e-9
-            )
+            assert phi == pytest.approx(array.pair(gap).tilt_rad, abs=1e-9)
 
 
 class TestStereoRig:
@@ -218,8 +219,8 @@ def _previous_triangulate(array, gap, dx):
 def _previous_depth_map(array, gap, values):
     """The depth command's map before it called stereo_depth."""
     i_low = -(gap // 2)
-    b = px.baseline(array, i_low, gap)
-    phi = px.relative_tilt(array, i_low, gap)
+    b = abs(array.position(i_low + gap) - array.position(i_low))
+    phi = abs(array.tilt(i_low + gap) - array.tilt(i_low))
     b_n = array.virtual_image_distance_mm
     with np.errstate(divide="ignore", invalid="ignore"):
         denominator = values * array.virtual_pixel_pitch_mm + b_n * math.tan(phi)
