@@ -1,5 +1,6 @@
 """Chief ray geometry, virtual camera placement, and triangulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,46 @@ import pytest
 import plenax as px
 
 
+def _lens_and_slope(f197, j, i):
+    """Lenslet height s_j and image-side slope m of sample (j, i).
+
+    With the image distance set to zero the object ray's intercept is s_j,
+    exactly; adding the main lens's power back to its slope gives m.
+    """
+    state = dataclasses.replace(f197.state, b_u_mm=0.0)
+    ray = px.object_ray(j, i, state, f197.config)
+    s_j = ray.intercept_mm
+    return s_j, ray.slope + s_j / f197.config.main_lens.focal_length_mm
+
+
+def _sample(f197, j, i):
+    """Sensor position u of sample (j, i), one lenslet focal length behind s_j."""
+    s_j, m = _lens_and_slope(f197, j, i)
+    return s_j - m * f197.config.mla.focal_length_mm
+
+
 class TestChiefRayChain:
+    def test_micro_lens_height_is_centred(self, f197):
+        assert _lens_and_slope(f197, 140, 0)[0] == 0.0
+        assert _lens_and_slope(f197, 141, 0)[0] == 0.125
+        assert _lens_and_slope(f197, 139, 0)[0] == -0.125
+
+    def test_mic_position_magnifies_lens_height(self, f197):
+        # The centre ray from the exit pupil continues past the lens by the
+        # focal length, scaling the lens height by (f_s/d_ap + 1).
+        assert _sample(f197, 141, 0) == pytest.approx(0.12842039800995025, abs=1e-15)
+        assert _sample(f197, 140, 0) == 0.0
+
+    def test_micro_image_sample_offsets_by_pixels(self, f197):
+        mic = _sample(f197, 141, 0)
+        assert _sample(f197, 141, 3) == pytest.approx(mic + 3 * 0.009, abs=1e-15)
+
+    def test_chief_slope_spans_pupil_to_lens(self, f197):
+        # Sensor-side chief ray: from the pupil centre down to the lens. The
+        # micro image centre under lens 139 mirrors the one under lens 141.
+        slope = _lens_and_slope(f197, 139, 0)[1]
+        assert slope == pytest.approx((-0.125 + 0.12842039800995025) / 2.75, rel=1e-12)
+
     @pytest.mark.parametrize(
         "j, i, slope, intercept",
         [
