@@ -95,9 +95,8 @@ def cmd_predict(args) -> int:
 
 def cmd_extract(args) -> int:
     config = load_config(args.config)
-    samples, maxval = lightfield.read_pgm(args.raw)
-    raw = lightfield.RawLightFieldImage(samples=samples, config=config)
-    decoded = lightfield.decode(raw, rotate_180=args.rotate_180)
+    # Streamed from the file one lens row at a time: the views are the one frame held.
+    decoded, maxval = lightfield._decode_pgm(args.raw, config, rotate_180=args.rotate_180)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     views = lightfield.extract_all_views(decoded)
@@ -112,8 +111,19 @@ def cmd_extract(args) -> int:
 def cmd_disparity(args, parser: argparse.ArgumentParser) -> int:
     if args.block < 1 or args.block % 2 == 0:
         parser.error(f"--block must be odd, got {args.block}")
-    left, _ = lightfield.read_pgm(args.left)
-    right, _ = lightfield.read_pgm(args.right)
+    left, left_maxval = lightfield.read_pgm(args.left)
+    right, right_maxval = lightfield.read_pgm(args.right)
+    # Matching views of different scales would give a plausible, wrong map.
+    if left_maxval != right_maxval:
+        raise ValueError(
+            f"view maxvals differ: {args.left} has {left_maxval}, "
+            f"{args.right} has {right_maxval}"
+        )
+    if left.shape != right.shape:
+        raise ValueError(
+            f"view sizes differ: {args.left} is {left.shape[1]}x{left.shape[0]}, "
+            f"{args.right} is {right.shape[1]}x{right.shape[0]}"
+        )
     params = disparity.MatchParams(
         block_size=args.block, max_disparity=args.maxd, subpixel=not args.no_subpixel
     )

@@ -372,10 +372,18 @@ def write_map_csv(path: str | Path, values: np.ndarray, header: dict | None = No
 def read_map_csv(path: str | Path) -> np.ndarray:
     """Read a grid written by write_map_csv (header lines ignored).
 
-    A cell that is not a number raises ValueError naming the path and line.
+    A cell that is not a number raises ValueError naming the path and line,
+    and so does a byte that is not ASCII.
     """
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        # A ValueError too, but one that names no file.
+        number = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}:{number}: byte {byte:#04x} is not ASCII") from None
     rows = []
-    for number, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,5 +1,6 @@
 """Shared fixtures: loaded rigs and rendered scenes reused across test modules."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,16 @@ def rig(m, count_h, count_v):
         ),
         focus=px.FocusSetting(px.INFINITY),
     )
+
+
+def rig_file(directory, m, count_h, count_v):
+    """A camera file for the f197 rig resized to M = m and count_h x count_v lenses."""
+    text = px.fixture_path("f197_mla2_inf").read_text()
+    for key, value in (("micro_image_px", m), ("lenses_h", count_h), ("lenses_v", count_v)):
+        text = re.sub(rf"^{key} = \d+$", f"{key} = {value}", text, flags=re.M)
+    path = directory / f"rig_{m}_{count_h}x{count_v}.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 def flatten(views):

@@ -157,6 +157,16 @@ class TestRenderExtractPipeline:
         assert code == 1
         assert "error:" in err
 
+    def test_extract_names_a_raw_of_the_wrong_size(self, capsys, tmp_path, f197_cfg_path):
+        odd = tmp_path / "odd.pgm"
+        px.write_pgm(odd, np.zeros((10, 10), dtype=np.uint16), maxval=255)
+        code, _, err = run(capsys, "extract", f197_cfg_path, str(odd), str(tmp_path / "v"))
+        assert code == 1
+        assert err == (
+            f"error: {odd}: raw is 10x10 px but the config requires 3653x2444 "
+            "(micro image size times lens count)\n"
+        )
+
     def test_render_names_a_scene_that_is_not_utf8(self, capsys, tmp_path, f197_cfg_path):
         # The decode error used to print without the file's name.
         scene = tmp_path / "scene.txt"
@@ -283,7 +293,41 @@ class TestDisparityCommand:
         assert out.read_bytes() == want.read_bytes()
 
 
+    def test_views_of_different_maxval_rejected(self, capsys, tmp_path):
+        # A 16-bit and an 8-bit view used to be matched silently.
+        a = np.random.default_rng(4).integers(0, 256, size=(40, 40), dtype=np.uint16)
+        left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+        px.write_pgm(left, a, maxval=65535)
+        px.write_pgm(right, a, maxval=255)
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "disparity", str(left), str(right), "--out", str(out))
+        assert code == 1
+        assert err == f"error: view maxvals differ: {left} has 65535, {right} has 255\n"
+        assert not out.exists()
+
+    def test_views_of_different_size_name_both_files(self, capsys, tmp_path):
+        left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+        px.write_pgm(left, np.zeros((40, 40), dtype=np.uint16), maxval=255)
+        px.write_pgm(right, np.zeros((40, 41), dtype=np.uint16), maxval=255)
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "disparity", str(left), str(right), "--out", str(out))
+        assert code == 1
+        assert err == f"error: view sizes differ: {left} is 40x40, {right} is 41x40\n"
+        assert not out.exists()
+
+
 class TestDepthCommand:
+    def test_non_ascii_byte_names_path_and_line(self, capsys, tmp_path, f197_cfg_path):
+        disp = tmp_path / "bad.csv"
+        disp.write_bytes(b"# header\n1.0,2.0\n1.0,\xe9\n")
+        out = tmp_path / "z.csv"
+        code, _, err = run(
+            capsys, "depth", f197_cfg_path, str(disp), "--gap", "1", "--out", str(out)
+        )
+        assert code == 1
+        assert err == f"error: {disp}:3: byte 0xe9 is not ASCII\n"
+        assert not out.exists()
+
     def test_bad_cell_names_path_and_line(self, capsys, tmp_path, f197_cfg_path):
         disp = tmp_path / "bad.csv"
         disp.write_text("# header\n1.0,2.0\n1.0,x\n")

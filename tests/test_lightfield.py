@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import plenax as px
 from plenax.cli import main
 
-from conftest import flatten, rig
+from conftest import flatten, rig, rig_file
 
 
 @pytest.fixture()
@@ -220,6 +220,53 @@ class TestPgm:
         assert np.array_equal(back, [[0, 7], [300, 2]])
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the Python/numpy allocations it made."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedWrite:
+    def test_f197_raw_write_makes_no_frame_copy(self, tmp_path):
+        # A whole-frame astype('>u2') of this raw took 17.9 MB.
+        config = px.load_fixture("f197_mla2_inf")
+        shape = (config.image_height_px, config.image_width_px)
+        raw = np.random.default_rng(14).integers(0, 65536, size=shape, dtype=np.uint16)
+        path = tmp_path / "raw.pgm"
+        _, peak = _traced_peak(px.write_pgm, path, raw, 65535)
+        assert peak < 2e6
+        header = f"P5\n{shape[1]} {shape[0]}\n65535\n".encode("ascii")
+        with open(path, "rb") as f:
+            assert f.read(len(header)) == header
+            assert np.array_equal(np.fromfile(f, dtype=">u2").reshape(shape), raw)
+
+    def test_float_frame_is_checked_in_blocks(self, tmp_path):
+        # 9.6 MB of float64, whose whole-frame floor() alone took 9.6 MB.
+        samples = (np.arange(1200 * 1000, dtype=np.float64) % 65536).reshape(1200, 1000)
+        path = tmp_path / "f.pgm"
+        _, peak = _traced_peak(px.write_pgm, path, samples, 65535)
+        assert peak < 3e6
+        header = b"P5\n1000 1200\n65535\n"
+        assert path.read_bytes() == header + samples.astype(">u2").tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(0.5, "finite integers, got 0.5", id="fraction"),
+        pytest.param(-1.0, "must be nonnegative", id="negative"),
+        pytest.param(70000.0, "sample 70000 exceeds maxval 65535", id="above"),
+    ])
+    def test_fault_in_the_last_block_stops_the_write(self, tmp_path, value, message):
+        samples = np.zeros((1200, 1000))
+        samples[-1, -1] = value
+        path = tmp_path / "late.pgm"
+        with pytest.raises(ValueError, match=rf"late\.pgm: .*{re.escape(message)}"):
+            px.write_pgm(path, samples, maxval=65535)
+        assert not path.exists()
+
+
 @st.composite
 def graymap_files(draw):
     """Graymap bytes, and the samples they hold when well formed, else None."""
@@ -309,3 +356,82 @@ class TestPgmMalformed:
         assert maxval == expected_maxval
         assert samples.dtype == (np.uint16 if maxval > 255 else np.uint8)
         assert np.array_equal(samples, values)
+
+
+# TestPgmMalformed's cases at the 3x6 px raw of an M = 3 rig with one lens
+# column and two lens rows. A bad sample sits in the second lens row.
+MALFORMED_RAWS = [
+    pytest.param(b"P5 -3 6 255\n" + bytes(18), "width -3", id="negative-width"),
+    pytest.param(b"P5 3 0 255\n", "height 0", id="zero-height"),
+    pytest.param(b"P5 x 6 255\n" + bytes(18), "width b'x'", id="non-integer-width"),
+    pytest.param(b"P5 3 6", "no maxval", id="truncated-header"),
+    pytest.param(b"P5 3 6 65535\n" + bytes(35), "truncated body", id="truncated-body"),
+    pytest.param(b"P2 3 6 9\n" + b"1 " * 16 + b"3 -1\n", "sample -1", id="ascii-negative"),
+    pytest.param(b"P2 3 6 9\n" + b"1 " * 16 + b"3 10\n", "sample 10", id="ascii-above-maxval"),
+    pytest.param(b"P2 3 6 9\n" + b"1 " * 16 + b"3 1.5\n", "integers", id="ascii-non-integer"),
+    pytest.param(b"P2 3 6 9\n" + b"1 " * 16 + b"3\n", "expected 18 samples", id="ascii-short"),
+    pytest.param(
+        b"P5 3 6 100\n" + bytes(16) + b"\x05\xc8", "sample 200 exceeds maxval 100",
+        id="8bit-above",
+    ),
+    pytest.param(
+        b"P5 3 6 1000\n" + bytes(34) + b"\x07\xd0", "sample 2000 exceeds maxval 1000",
+        id="16bit-above",
+    ),
+]
+
+
+class TestStreamedExtract:
+    """`plenax extract` decodes straight from the file, one lens row at a time."""
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
+    @pytest.mark.parametrize("maxval", [255, 1000, 65535])
+    def test_views_match_read_pgm_and_decode(self, tmp_path, binary, maxval, rotate):
+        cfg = rig_file(tmp_path, 5, 7, 4)
+        config = px.load_config(cfg)
+        rng = np.random.default_rng(maxval)
+        samples = rng.integers(0, maxval + 1, size=(20, 35), dtype=np.uint16)
+        raw = tmp_path / "raw.pgm"
+        if binary:
+            px.write_pgm(raw, samples, maxval=maxval)
+        else:
+            rows = "\n".join(" ".join(str(v) for v in row) for row in samples)
+            raw.write_text(f"P2\n35 20\n{maxval}\n{rows}\n")
+        flags = ["--rotate-180"] if rotate else []
+        assert main(["extract", cfg, str(raw), str(tmp_path / "got"), *flags]) == 0
+        read, read_maxval = px.read_pgm(raw)
+        views = px.decode(px.RawLightFieldImage(samples=read, config=config), rotate_180=rotate)
+        got = sorted(p.name for p in (tmp_path / "got").iterdir())
+        assert len(got) == 25
+        for (i, g), view in px.extract_all_views(views).items():
+            want = tmp_path / "want.pgm"
+            px.write_pgm(want, view.pixels, maxval=read_maxval)
+            assert (tmp_path / "got" / px.view_filename(i, g)).read_bytes() == want.read_bytes()
+
+    def test_f197_extract_holds_one_frame(self, tmp_path):
+        # The views (17.9 MB) are the one frame; read_pgm + decode held the raw too.
+        config = px.load_fixture("f197_mla2_inf")
+        shape = (config.image_height_px, config.image_width_px)
+        raw = tmp_path / "raw.pgm"
+        px.write_pgm(
+            raw, np.random.default_rng(15).integers(0, 65536, size=shape, dtype=np.uint16)
+        )
+        argv = ["extract", str(px.fixture_path("f197_mla2_inf")), str(raw), str(tmp_path / "v")]
+        code, peak = _traced_peak(main, argv)
+        assert code == 0
+        assert peak < 20e6
+        assert len(list((tmp_path / "v").iterdir())) == 169
+
+    @pytest.mark.parametrize("content, field", MALFORMED_RAWS)
+    def test_malformed_raw_fails_as_read_pgm_does(self, capsys, tmp_path, content, field):
+        cfg = rig_file(tmp_path, 3, 1, 2)
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as info:
+            px.read_pgm(path)
+        assert str(path) in str(info.value)
+        assert field in str(info.value)
+        assert main(["extract", cfg, str(path), str(tmp_path / "v")]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not (tmp_path / "v").exists()
