@@ -95,16 +95,10 @@ def cmd_predict(args) -> int:
 
 def cmd_extract(args) -> int:
     config = load_config(args.config)
-    # Streamed from the file one lens row at a time: the views are the one frame held.
-    decoded, maxval = lightfield._decode_pgm(args.raw, config, rotate_180=args.rotate_180)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    views = lightfield.extract_all_views(decoded)
-    for (i, g), view in sorted(views.items()):
-        lightfield.write_pgm(
-            out_dir / lightfield.view_filename(i, g), view.pixels, maxval=maxval
-        )
-    print(f"wrote {len(views)} views to {out_dir}")
+    # Streamed from the raw in lens-row blocks straight into the view files.
+    count = lightfield._extract_pgm(args.raw, config, out_dir, args.rotate_180)
+    print(f"wrote {count} views to {out_dir}")
     return 0
 
 
@@ -170,10 +164,12 @@ def cmd_render(args) -> int:
     except ValueError as exc:
         # A UnicodeDecodeError is a ValueError too, and names no file.
         raise ValueError(f"{scene_path}: {exc}") from exc
-    raw = oracle.render_synthetic_scene(
-        config, planes, base_dir=scene_path.parent, maxval=args.maxval
-    )
-    lightfield.write_pgm(args.out, raw.samples, maxval=args.maxval)
+    # Each row block is written as it is rendered, so no frame is held.
+    blocks = oracle._render_rows(config, planes, base_dir=scene_path.parent, maxval=args.maxval)
+    width, height = config.image_width_px, config.image_height_px
+    with lightfield._GraymapWriter(args.out, width, height, args.maxval) as out:
+        for block in blocks:
+            out.write(block)
     return 0
 
 

@@ -7,12 +7,16 @@ by k = j*M + c + i and l = h*M + c + g with c = (M-1)/2. Collecting, from
 every micro image, the pixel at one fixed offset (i, g) yields the
 sub-aperture view for that offset, one pixel per micro lens. decode stores
 the light field view-major, as one array indexed [c + i, c + g, h, j], and
-fills it one lens row (M raw rows) at a time; `plenax extract` streams those
-lens rows straight from the file, so it never holds the raw as well.
+fills it one lens row (M raw rows) at a time. `plenax extract` places blocks
+of whole lens rows, read straight from the file, the same way and appends
+each view's rows to its own file, so it holds neither the raw nor the views.
+Every P5 file, `plenax render`'s raw included, goes through one writer that
+takes a row block at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +67,8 @@ def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
     Copies the raw once, one lens row (M raw rows) at a time, into a new
     read-only C-contiguous array of shape (M, M, count_v, count_h) where
     views[c + i, c + g] is viewpoint (i, g); views extracted from it share
-    that storage. Only the returned array is frame-sized.
+    that storage. Only the returned array is frame-sized; `plenax extract`
+    writes the same views to files without ever building it.
 
     Args:
         raw: Calibrated raw image.
@@ -73,16 +78,12 @@ def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
             the original orientation.
     """
     m = raw.config.sensor.micro_image_px
-    views = _empty_views(raw.config, raw.samples.dtype)
-    for row in range(raw.config.mla.count_v):
+    count_v, count_h = raw.config.mla.count_v, raw.config.mla.count_h
+    views = np.empty((m, m, count_v, count_h), dtype=raw.samples.dtype)
+    for row in range(count_v):
         _place_lens_row(views, row, raw.samples[row * m : (row + 1) * m], rotate_180)
     views.flags.writeable = False
     return views
-
-
-def _empty_views(config: CameraConfig, dtype) -> np.ndarray:
-    m = config.sensor.micro_image_px
-    return np.empty((m, m, config.mla.count_v, config.mla.count_h), dtype=dtype)
 
 
 def _place_lens_row(views: np.ndarray, row: int, block: np.ndarray, rotate_180: bool) -> None:
@@ -155,11 +156,16 @@ def _read_header(f, path) -> tuple[bool, int, int, int]:
         except ValueError:
             raise ValueError(f"{path}: {field} {token!r} is not an integer") from None
     width, height, maxval = values
+    _check_size(path, width, height)
+    _check_maxval(path, maxval)
+    return magic == b"P5", width, height, maxval
+
+
+def _check_size(path, width: int, height: int) -> None:
+    """The one size rule, for reading and writing: both sides positive."""
     for field, value in (("width", width), ("height", height)):
         if value <= 0:
             raise ValueError(f"{path}: {field} {value} must be positive")
-    _check_maxval(path, maxval)
-    return magic == b"P5", width, height, maxval
 
 
 def _check_maxval(path, maxval: int) -> None:
@@ -184,12 +190,14 @@ def _check_body_length(f, path, width: int, height: int, dtype: np.dtype) -> Non
 
 
 def _check_peak(path, samples: np.ndarray, maxval: int) -> None:
-    """Reject a native integer sample above maxval."""
-    # maxval 255 and 65535 fill the dtype, so no sample can exceed them.
-    if maxval != np.iinfo(samples.dtype).max:
-        peak = int(samples.max())
+    """Reject a sample above maxval."""
+    # An unsigned type whose maximum is maxval or less cannot exceed it.
+    if samples.dtype.kind == "u" and 256**samples.dtype.itemsize - 1 <= maxval:
+        return
+    if samples.size:
+        peak = samples.max()
         if peak > maxval:
-            raise ValueError(f"{path}: sample {peak} exceeds maxval {maxval}")
+            raise ValueError(f"{path}: sample {int(peak)} exceeds maxval {maxval}")
 
 
 def _read_ascii_body(f, path, count: int, maxval: int) -> np.ndarray:
@@ -233,54 +241,149 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return samples.reshape(height, width), maxval
 
 
-def _decode_pgm(
-    path: str | Path, config: CameraConfig, rotate_180: bool = False
-) -> tuple[np.ndarray, int]:
-    """decode(RawLightFieldImage(read_pgm(path))) without holding the raw.
+# Largest block buffer any streamed stage holds; a row (or lens row) longer
+# than this gets a buffer of one.
+_BLOCK_BYTES = 1 << 20
 
-    A P5 body is read one lens row (M raw rows) at a time into one reused
-    block, which is byte-swapped in place, checked against maxval and placed
-    into the views, so the views are the only frame-sized array. A P2 body
-    goes through read_pgm's parser and decode. Errors name the path, as
-    read_pgm's do, and so does a raw whose size is not the config's.
+# Most view files _extract_pgm keeps open at once, below macOS's default
+# soft limit of 256; a rig with more views takes one more pass over the raw
+# per group.
+_MAX_OPEN_VIEWS = 200
+
+
+def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_180: bool) -> int:
+    """Write the views of the raw graymap at path into out_dir, holding no frame.
+
+    The files are byte for byte those write_pgm writes for each view of
+    decode(RawLightFieldImage(read_pgm(path))), named by view_filename and
+    carrying the raw's maxval. Errors name the path as read_pgm's do, and so
+    does a raw whose size is not the config's; the header, size, body length
+    and samples are all checked before out_dir is made.
+
+    A P5 body is read k whole lens rows at a time (at most _BLOCK_BYTES) in
+    the file's sample type, placed with _place_lens_row into an
+    (M, M, k, count_h) buffer, and each view's (k, count_h) slab is appended
+    to its open file as it stands. With rotate_180 the blocks are read last
+    to first, so view rows are still written top to bottom. A maxval below
+    the sample type's maximum costs one scan of the body first. A P2 body
+    goes through read_pgm's parser, then the same blocks.
 
     Returns:
-        (views, maxval), views as decode returns them.
+        The number of views written.
     """
+    m, c = config.sensor.micro_image_px, config.sensor.half_span
+    count_v, count_h = config.mla.count_v, config.mla.count_h
     with open(path, "rb") as f:
         binary, width, height, maxval = _read_header(f, path)
         _check_raw_size(config, width, height, path)
-        if not binary:
-            samples = _read_ascii_body(f, path, width * height, maxval)
-            raw = RawLightFieldImage(samples=samples.reshape(height, width), config=config)
-            return decode(raw, rotate_180), maxval
         dtype = _body_dtype(maxval)
-        _check_body_length(f, path, width, height, dtype)
-        block = np.empty((config.sensor.micro_image_px, width), dtype.newbyteorder("="))
-        views = _empty_views(config, block.dtype)
-        for row in range(config.mla.count_v):
-            f.readinto(block)
-            if not dtype.isnative:
-                block.byteswap(inplace=True)
-            _check_peak(path, block, maxval)
-            _place_lens_row(views, row, block, rotate_180)
-    views.flags.writeable = False
-    return views, maxval
+        lens_row_bytes = m * width * dtype.itemsize
+        k = max(1, min(count_v, _BLOCK_BYTES // lens_row_bytes))
+        if binary:
+            _check_body_length(f, path, width, height, dtype)
+            body = f.tell()
+            block = np.empty((k * m, width), dtype)
+
+            def lens_rows(first: int, count: int) -> np.ndarray:
+                f.seek(body + first * lens_row_bytes)
+                f.readinto(block[: count * m])
+                return block[: count * m]
+
+            if maxval < np.iinfo(dtype).max:
+                for first in range(0, count_v, k):
+                    _check_peak(path, lens_rows(first, min(k, count_v - first)), maxval)
+        else:
+            samples = _read_ascii_body(f, path, width * height, maxval).reshape(height, width)
+
+            def lens_rows(first: int, count: int) -> np.ndarray:
+                return samples[first * m : (first + count) * m]
+
+        out_dir.mkdir(parents=True, exist_ok=True)
+        firsts = list(range(0, count_v, k))
+        if rotate_180:
+            firsts.reverse()
+        offsets = [(i, g) for i in range(-c, c + 1) for g in range(-c, c + 1)]
+        views = np.empty((m, m, k, count_h), dtype)
+        for start in range(0, len(offsets), _MAX_OPEN_VIEWS):
+            group = offsets[start : start + _MAX_OPEN_VIEWS]
+            with contextlib.ExitStack() as stack:
+                writers = [
+                    stack.enter_context(
+                        _GraymapWriter(out_dir / view_filename(i, g), count_h, count_v, maxval)
+                    )
+                    for i, g in group
+                ]
+                for first in firsts:
+                    count = min(k, count_v - first)
+                    rows, part = lens_rows(first, count), views[:, :, :count]
+                    for row in range(count):
+                        _place_lens_row(part, row, rows[row * m : (row + 1) * m], rotate_180)
+                    for (i, g), writer in zip(group, writers):
+                        writer.write(part[c + i, c + g])
+    return len(offsets)
 
 
-# Largest conversion buffer write_pgm holds; a row longer than this gets a
-# buffer of one row.
-_BLOCK_BYTES = 1 << 20
+class _GraymapWriter:
+    """A binary (P5) graymap written one row block at a time: the one P5 writer.
+
+    The size and maxval are checked on construction, before the file is
+    opened on entering the context. Each block is checked against maxval,
+    then written in the file's sample type (big-endian for 16 bits): as it
+    stands when it already has that type and is contiguous, else converted
+    through one reused buffer. An error, or fewer rows than the height,
+    removes the file on leaving the context.
+    """
+
+    def __init__(self, path: str | Path, width: int, height: int, maxval: int) -> None:
+        _check_size(path, width, height)
+        _check_maxval(path, maxval)
+        self.path, self.width, self.height, self.maxval = Path(path), width, height, maxval
+        self.dtype = _body_dtype(maxval)
+        self.rows = 0
+        self._buffer = None
+
+    def __enter__(self) -> "_GraymapWriter":
+        # Unbuffered: each block is one write, and many open files hold no buffers.
+        self._file = self.path.open("wb", buffering=0)
+        self._write(f"P5\n{self.width} {self.height}\n{self.maxval}\n".encode("ascii"))
+        return self
+
+    def _write(self, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:  # a raw write may take fewer bytes than it is given
+            view = view[self._file.write(view) :]
+
+    def write(self, block: np.ndarray) -> None:
+        if block.shape[1:] != (self.width,):
+            raise ValueError(f"{self.path}: a {block.shape} block is not {self.width} wide")
+        _check_peak(self.path, block, self.maxval)
+        if block.dtype != self.dtype or not block.flags.c_contiguous:
+            if self._buffer is None or len(self._buffer) < len(block):
+                self._buffer = np.empty(block.shape, self.dtype)
+            out = self._buffer[: len(block)]
+            np.copyto(out, block, casting="unsafe")
+            block = out
+        self._write(block)
+        self.rows += len(block)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._file.close()
+        if exc_type is not None or self.rows != self.height:
+            self.path.unlink(missing_ok=True)
+        if exc_type is None and self.rows != self.height:
+            raise ValueError(f"{self.path}: wrote {self.rows} of {self.height} rows")
 
 
 def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) -> None:
     """Write a (height, width) integer array as a binary (P5) portable graymap.
 
-    Every sample is checked before the file is opened. The samples are then
-    converted to the file's sample type (big-endian for 16 bits) one row
-    block at a time, through one reused buffer of at most 1 MiB, so no
-    frame-sized copy is made; the bytes are those of astype(dtype).tofile.
-    Float checks run per block too, with block-sized temporaries.
+    The size and every sample are checked before the file is opened, one
+    row block of at most 1 MiB at a time, so float checks make block-sized
+    temporaries only. The blocks then go through the P5 writer that
+    `plenax render` and `plenax extract` stream through, which converts them
+    to the file's sample type (big-endian for 16 bits) in one reused buffer,
+    so no frame-sized copy is made; the bytes are those of
+    astype(dtype).tofile.
 
     Args:
         path: Destination file.
@@ -292,7 +395,7 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
 
     Raises:
         ValueError: naming the path, for anything read_pgm would reject or
-            read back differently.
+            read back differently, an empty array included.
     """
     arr = np.asarray(samples)
     if arr.ndim != 2:
@@ -318,10 +421,6 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
     _check_maxval(path, maxval)
     if peak > maxval:
         raise ValueError(f"{path}: sample {peak} exceeds maxval {maxval}")
-    buffer = np.empty((min(rows, height), width), dtype=_body_dtype(maxval))
-    with Path(path).open("wb") as f:
-        f.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+    with _GraymapWriter(path, width, height, maxval) as out:
         for block in blocks:
-            out = buffer[: len(block)]
-            np.copyto(out, block, casting="unsafe")
-            out.tofile(f)
+            out.write(block)

@@ -28,7 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .lightfield import RawLightFieldImage, _check_maxval, read_pgm
+from .lightfield import (
+    _BLOCK_BYTES,
+    RawLightFieldImage,
+    _body_dtype,
+    _check_maxval,
+    read_pgm,
+)
 from .optics import INFINITY, CameraConfig, FocusState, MicroLensSpec, derive_focus_state
 
 
@@ -337,40 +343,50 @@ def parse_scene(text: str) -> tuple[ScenePlane, ...]:
 
 
 def _texture_sampler(plane: ScenePlane, base_dir: Path | None):
-    """Build sample(x, y) -> (table, index) for the texture at an outer product.
+    """Build columns(x) -> (index, width, table_rows) for the texture.
 
     Both textures are separable: the value at (x[k], y[r]) is
-    table[r, index[k]], with one table row per y and a few columns.
+    table_rows(y)[r, index[k]], where table_rows(y) has one row per y and
+    width columns, a few for the checker. The column work runs once per x;
+    each block of rows y then costs one small table.
     """
     if plane.texture == "checker":
         period = plane.argument_mm
 
-        def sample(x, y):
+        def columns(x):
             # floor(x/p) + floor(y/p) is odd exactly when one of the two
             # whole-valued cell indices is odd, so the cell colour is
             # |parity(y) - parity(x)|: column k of the table holds the
             # colour for x parity k.
             x_parity = np.floor(x / period) % 2.0
-            y_parity = np.floor(y / period) % 2.0
-            table = np.abs(y_parity[:, None] - np.array([0.0, 1.0]))
-            return table, x_parity.astype(np.int64)
 
-        return sample
+            def table_rows(y):
+                y_parity = np.floor(y / period) % 2.0
+                return np.abs(y_parity[:, None] - np.array([0.0, 1.0]))
+
+            return x_parity.astype(np.int64), 2, table_rows
+
+        return columns
 
     path = Path(plane.path)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
     samples, maxval = read_pgm(path)
-    image = samples.astype(np.float64) / maxval
+    image = samples.astype(np.float64)
+    image /= maxval  # in place: one float copy of the texture, not two
     scale = plane.argument_mm
 
-    def sample(x, y):
+    def columns(x):
         col = np.floor(x / scale).astype(np.int64) % image.shape[1]
-        row = np.floor(y / scale).astype(np.int64) % image.shape[0]
         used, index = np.unique(col, return_inverse=True)
-        return image[np.ix_(row, used)], index
 
-    return sample
+        def table_rows(y):
+            row = np.floor(y / scale).astype(np.int64) % image.shape[0]
+            return image[np.ix_(row, used)]
+
+        return index, len(used), table_rows
+
+    return columns
 
 
 def render_synthetic_scene(
@@ -390,7 +406,34 @@ def render_synthetic_scene(
     when maxval > 255 and uint8 otherwise: the samples a P5 graymap of that
     maxval holds. Inverse of lightfield.decode by construction: sample
     (i, g) under lenslet column j, row h lands at mosaic position
-    (h * m + c + g, j * m + c + i).
+    (h * m + c + g, j * m + c + i). The raw is filled from the row blocks
+    `plenax render` writes as they come.
+    """
+    blocks = _render_rows(config, planes, state, base_dir, background, maxval)
+    shape = (config.image_height_px, config.image_width_px)
+    raw = np.empty(shape, _body_dtype(maxval).newbyteorder("="))
+    start = 0
+    for block in blocks:
+        raw[start : start + len(block)] = block
+        start += len(block)
+    return RawLightFieldImage(samples=raw, config=config)
+
+
+def _render_rows(
+    config: CameraConfig,
+    planes,
+    state: FocusState | None = None,
+    base_dir: str | Path | None = None,
+    background: float = 0.0,
+    maxval: int = 65535,
+):
+    """render_synthetic_scene's raw as an iterator of row blocks, top to bottom.
+
+    The rays are traced, the textures loaded and the column work done
+    before this returns, so a bad scene fails before anything is written.
+    Each block is a (rows, width) view of one reused buffer of at most
+    _BLOCK_BYTES, in a P5 body's sample type (big-endian for 16 bits), so a
+    graymap writer takes it as it stands: use it before taking the next.
     """
     _check_maxval("render_synthetic_scene", maxval)
     if state is None:
@@ -425,25 +468,43 @@ def render_synthetic_scene(
             rows[p, np.arange(config.mla.count_v) * m + c + i] = qy[idx] * z_plane + uy[idx]
 
     # Every mosaic column takes its texture from the nearest plane covering
-    # it, so the raw is one column gather from the planes' stacked tables.
-    # Table column 0 is the background. Quantizing the small table before
-    # the gather gives the same integers as quantizing the gathered frame.
-    tables = [np.full((height, 1), float(background))]
+    # it, so each row block is one column gather from the planes' stacked
+    # tables. Table column 0 is the background. Quantizing the small table
+    # before the gather gives the same integers as quantizing the gathered
+    # frame, and building it per row block changes no element either.
     index = np.zeros(width, dtype=np.int64)
     owned = np.zeros(width, dtype=bool)
+    parts = []  # (plane's row coordinates, first table column, table width, table_rows)
+    table_width = 1
     for p, plane in enumerate(planes):
         free = ~owned
         if plane.band is not None:
             free &= (cols[p] >= plane.band[0]) & (cols[p] <= plane.band[1])
         owned |= free
         if free.any():
-            table, plane_index = samplers[p](cols[p, free], rows[p])
-            index[free] = sum(t.shape[1] for t in tables) + plane_index
-            tables.append(table)
-    table = _quantize(np.concatenate(tables, axis=1), maxval)
-    del tables  # free the float tables before the frame-sized gather
-    raw = np.take(table, index, axis=1)
-    return RawLightFieldImage(samples=raw, config=config)
+            plane_index, plane_width, table_rows = samplers[p](cols[p, free])
+            index[free] = table_width + plane_index
+            parts.append((rows[p], table_width, plane_width, table_rows))
+            table_width += plane_width
+
+    dtype = _body_dtype(maxval)
+    step = max(1, _BLOCK_BYTES // max(width * dtype.itemsize, table_width * 8))
+    table = np.empty((min(step, height), table_width))
+    out = np.empty((min(step, height), width), dtype)
+
+    def blocks():
+        for start in range(0, height, step):
+            stop = min(start + step, height)
+            block = table[: stop - start]
+            block[:, 0] = background
+            for y, first, plane_width, table_rows in parts:
+                block[:, first : first + plane_width] = table_rows(y[start:stop])
+            # Every index is valid, and the table has out's type: mode="clip"
+            # then spares take a buffered copy of out.
+            quantized = _quantize(block, maxval).astype(dtype, copy=False)
+            yield np.take(quantized, index, axis=1, out=out[: stop - start], mode="clip")
+
+    return blocks()
 
 
 def _quantize(samples: np.ndarray, maxval: int) -> np.ndarray:

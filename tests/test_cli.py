@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import plenax as px
+from plenax import oracle
 from plenax.cli import main
 
 from test_disparity import _reference_block_match
@@ -222,6 +223,14 @@ class TestRenderBytes:
     ])
     def test_thin_lenslet_scene_bytes_pinned(self, tmp_path, maxval, digest):
         assert _render_small_scene(tmp_path, "lytro_f51p4", maxval) == digest
+
+    @pytest.mark.parametrize("maxval", [65535, 1000, 255])
+    def test_row_block_size_does_not_change_bytes(self, tmp_path, monkeypatch, maxval):
+        # The pinned scene's 208 rows fit one block. Blocks of 3,400 bytes
+        # hold 5 rows at 16 bits and 11 at 8 bits, with a short last block.
+        whole = _render_small_scene(tmp_path, "f197_mla2_inf", maxval)
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", 3400)
+        assert _render_small_scene(tmp_path, "f197_mla2_inf", maxval) == whole
 
     def test_maxval_out_of_range_is_an_error(self, capsys, tmp_path, f197_cfg_path):
         scene = tmp_path / "scene.txt"

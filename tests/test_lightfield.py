@@ -212,6 +212,14 @@ class TestPgm:
             px.write_pgm(path, samples)
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape, field", [((0, 5), "height 0"), ((3, 0), "width 0")])
+    def test_empty_array_rejected_before_the_file_opens(self, tmp_path, shape, field):
+        # read_pgm rejects the `P5\n5 0\n255\n` such an array would give.
+        path = tmp_path / "e.pgm"
+        with pytest.raises(ValueError, match=rf"e\.pgm: {field} must be positive"):
+            px.write_pgm(path, np.zeros(shape, np.uint16))
+        assert not path.exists()
+
     def test_whole_float_samples_round_trip(self, tmp_path):
         path = tmp_path / "w.pgm"
         px.write_pgm(path, np.array([[0.0, 7.0], [300.0, 2.0]]))
@@ -264,6 +272,23 @@ class TestBlockedWrite:
         path = tmp_path / "late.pgm"
         with pytest.raises(ValueError, match=rf"late\.pgm: .*{re.escape(message)}"):
             px.write_pgm(path, samples, maxval=65535)
+        assert not path.exists()
+
+
+class TestGraymapWriter:
+    def test_rows_short_of_the_height_remove_the_file(self, tmp_path):
+        path = tmp_path / "short.pgm"
+        with pytest.raises(ValueError, match=r"short\.pgm: wrote 2 of 3 rows"):
+            with px.lightfield._GraymapWriter(path, 4, 3, 255) as out:
+                out.write(np.zeros((2, 4), np.uint8))
+        assert not path.exists()
+
+    def test_a_block_above_maxval_stops_the_stream(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        with pytest.raises(ValueError, match=r"over\.pgm: sample 1001 exceeds maxval 1000"):
+            with px.lightfield._GraymapWriter(path, 2, 2, 1000) as out:
+                out.write(np.array([[0, 1000]], np.uint16))
+                out.write(np.array([[1001, 0]], np.uint16))
         assert not path.exists()
 
 
@@ -381,15 +406,28 @@ MALFORMED_RAWS = [
 ]
 
 
+def _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate):
+    """`plenax extract` writes write_pgm's bytes for each view of read_pgm + decode."""
+    flags = ["--rotate-180"] if rotate else []
+    assert main(["extract", cfg, str(raw), str(tmp_path / "got"), *flags]) == 0
+    read, read_maxval = px.read_pgm(raw)
+    config = px.load_config(cfg)
+    views = px.decode(px.RawLightFieldImage(samples=read, config=config), rotate_180=rotate)
+    assert len(list((tmp_path / "got").iterdir())) == views.shape[0] * views.shape[1]
+    for (i, g), view in px.extract_all_views(views).items():
+        want = tmp_path / "want.pgm"
+        px.write_pgm(want, view.pixels, maxval=read_maxval)
+        assert (tmp_path / "got" / px.view_filename(i, g)).read_bytes() == want.read_bytes()
+
+
 class TestStreamedExtract:
-    """`plenax extract` decodes straight from the file, one lens row at a time."""
+    """`plenax extract` streams lens-row blocks from the file into the view files."""
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
     @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
     @pytest.mark.parametrize("maxval", [255, 1000, 65535])
     def test_views_match_read_pgm_and_decode(self, tmp_path, binary, maxval, rotate):
         cfg = rig_file(tmp_path, 5, 7, 4)
-        config = px.load_config(cfg)
         rng = np.random.default_rng(maxval)
         samples = rng.integers(0, maxval + 1, size=(20, 35), dtype=np.uint16)
         raw = tmp_path / "raw.pgm"
@@ -398,19 +436,11 @@ class TestStreamedExtract:
         else:
             rows = "\n".join(" ".join(str(v) for v in row) for row in samples)
             raw.write_text(f"P2\n35 20\n{maxval}\n{rows}\n")
-        flags = ["--rotate-180"] if rotate else []
-        assert main(["extract", cfg, str(raw), str(tmp_path / "got"), *flags]) == 0
-        read, read_maxval = px.read_pgm(raw)
-        views = px.decode(px.RawLightFieldImage(samples=read, config=config), rotate_180=rotate)
-        got = sorted(p.name for p in (tmp_path / "got").iterdir())
-        assert len(got) == 25
-        for (i, g), view in px.extract_all_views(views).items():
-            want = tmp_path / "want.pgm"
-            px.write_pgm(want, view.pixels, maxval=read_maxval)
-            assert (tmp_path / "got" / px.view_filename(i, g)).read_bytes() == want.read_bytes()
+        _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate)
 
     def test_f197_extract_holds_one_frame(self, tmp_path):
-        # The views (17.9 MB) are the one frame; read_pgm + decode held the raw too.
+        # Lens-row blocks go straight to the view files: 2.3 MB traced, where
+        # holding the views took 18.1 MB and read_pgm + decode 36 MB.
         config = px.load_fixture("f197_mla2_inf")
         shape = (config.image_height_px, config.image_width_px)
         raw = tmp_path / "raw.pgm"
@@ -420,8 +450,43 @@ class TestStreamedExtract:
         argv = ["extract", str(px.fixture_path("f197_mla2_inf")), str(raw), str(tmp_path / "v")]
         code, peak = _traced_peak(main, argv)
         assert code == 0
-        assert peak < 20e6
+        assert peak < 4e6
         assert len(list((tmp_path / "v").iterdir())) == 169
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
+    @pytest.mark.parametrize("maxval", [255, 1000, 65535])
+    @pytest.mark.parametrize("lens_rows", [1, 3], ids=["1-lens-row", "3-lens-rows"])
+    def test_grouped_passes_and_partial_blocks(self, tmp_path, monkeypatch, maxval, rotate,
+                                               lens_rows):
+        # 25 views in groups of at most 4 open files: seven passes over the
+        # body. Blocks of 3 lens rows do not divide the 4 lens rows.
+        cfg = rig_file(tmp_path, 5, 7, 4)
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=(20, 35))
+        raw = tmp_path / "raw.pgm"
+        px.write_pgm(raw, samples, maxval=maxval)
+        lens_row_bytes = 5 * 35 * (2 if maxval > 255 else 1)
+        monkeypatch.setattr(px.lightfield, "_MAX_OPEN_VIEWS", 4)
+        monkeypatch.setattr(px.lightfield, "_BLOCK_BYTES", lens_rows * lens_row_bytes)
+        _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
+    def test_sample_above_maxval_in_the_last_lens_row(self, capsys, tmp_path, monkeypatch,
+                                                      rotate):
+        # One lens row per block, so the bad sample is in the last block read
+        # upright and in the first read rotated; either way no view is written.
+        cfg = rig_file(tmp_path, 5, 7, 4)
+        samples = np.full((20, 35), 1000, np.uint16)
+        samples[-1, -1] = 1001
+        raw = tmp_path / "raw.pgm"
+        raw.write_bytes(b"P5\n35 20\n1000\n" + samples.astype(">u2").tobytes())
+        with pytest.raises(ValueError) as info:
+            px.read_pgm(raw)
+        assert "sample 1001 exceeds maxval 1000" in str(info.value)
+        monkeypatch.setattr(px.lightfield, "_BLOCK_BYTES", 5 * 35 * 2)
+        flags = ["--rotate-180"] if rotate else []
+        assert main(["extract", cfg, str(raw), str(tmp_path / "v"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not (tmp_path / "v").exists()
 
     @pytest.mark.parametrize("content, field", MALFORMED_RAWS)
     def test_malformed_raw_fails_as_read_pgm_does(self, capsys, tmp_path, content, field):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import plenax as px
 from plenax import oracle
+from plenax.cli import main
 from plenax.oracle import (
     _chief_rays,
     _intersect,
@@ -435,15 +436,11 @@ class TestRenderer:
         assert (raw.samples == np.rint(0.25 * 65535)).any()
 
     def test_traced_allocation_peak(self, f197, tmp_path):
-        # Quantizing the texture tables before the column gather leaves the
-        # 18 MB integer raw as the only frame-sized allocation. Gathering a
-        # float frame first peaked at 93.9 MB on this scene; now 25.0 MB.
-        rng = np.random.default_rng(8)
-        px.write_pgm(tmp_path / "tile.pgm", rng.integers(0, 65536, size=(512, 512)), maxval=65535)
-        planes = [
-            px.ScenePlane(depth_mm=1500.0, texture="checker", argument_mm=0.7, band=(-20.0, 10.0)),
-            px.ScenePlane(depth_mm=3000.0, texture="file", argument_mm=0.1, path="tile.pgm"),
-        ]
+        # Quantizing the texture tables before the column gather, one row
+        # block at a time, leaves the 17.9 MB integer raw as the only
+        # frame-sized allocation. Gathering a float frame first peaked at
+        # 93.9 MB on this scene, whole-frame tables at 25.0 MB; now 22.5 MB.
+        planes = _two_plane_scene(tmp_path)
         tracemalloc.start()
         try:
             raw = px.render_synthetic_scene(
@@ -453,7 +450,29 @@ class TestRenderer:
         finally:
             tracemalloc.stop()
         assert raw.samples.dtype == np.uint16
-        assert peak < 30e6
+        assert peak < 23e6
+
+    def test_cli_render_streams_the_library_raw(self, f197, tmp_path):
+        # `plenax render` writes each row block as it is made: 4.9 MB traced
+        # on this scene, where holding the raw and frame-tall tables took
+        # 21.6 MB. Its bytes are write_pgm's of the library's raw.
+        planes = _two_plane_scene(tmp_path)
+        scene = tmp_path / "scene.txt"
+        scene.write_text(
+            "plane 1500 checker 0.7 band -20 10\nplane 3000 file tile.pgm 0.1\n"
+        )
+        out = tmp_path / "raw.pgm"
+        argv = ["render", str(px.fixture_path("f197_mla2_inf")), str(scene), str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        raw = px.render_synthetic_scene(f197.config, planes, state=f197.state, base_dir=tmp_path)
+        px.write_pgm(tmp_path / "want.pgm", raw.samples, maxval=65535)
+        assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes()
 
     def test_maxval_sets_integer_type_and_range(self, f197):
         plane = px.ScenePlane(depth_mm=1000.0, texture="checker", argument_mm=0.7)
@@ -470,6 +489,16 @@ class TestRenderer:
         )
         with pytest.raises((OSError, ValueError)):
             px.render_synthetic_scene(f197.config, [plane], base_dir=tmp_path)
+
+
+def _two_plane_scene(directory):
+    """A banded checker before a 512-texel tile, which is written to directory."""
+    rng = np.random.default_rng(8)
+    px.write_pgm(directory / "tile.pgm", rng.integers(0, 65536, size=(512, 512)), maxval=65535)
+    return [
+        px.ScenePlane(depth_mm=1500.0, texture="checker", argument_mm=0.7, band=(-20.0, 10.0)),
+        px.ScenePlane(depth_mm=3000.0, texture="file", argument_mm=0.1, path="tile.pgm"),
+    ]
 
 
 class TestQuantize:
@@ -505,7 +534,9 @@ class TestTextureSamplers:
         ])
         y = np.concatenate([edges[::-1], np.nextafter(edges, -np.inf), [-0.0, 1e-300]])
         plane = px.ScenePlane(depth_mm=1000.0, texture="checker", argument_mm=period)
-        table, index = _texture_sampler(plane, None)(x, y)
+        index, width, table_rows = _texture_sampler(plane, None)(x)
+        table = table_rows(y)
+        assert table.shape == (len(y), width)
         got = table[:, index]
         assert got.tobytes() == dense_checker(x, y, period).tobytes()
 
@@ -519,7 +550,9 @@ class TestTextureSamplers:
         )
         x = np.linspace(-9.0, 9.0, 53)
         y = np.linspace(-4.0, 6.0, 29)
-        table, index = _texture_sampler(plane, tmp_path)(x, y)
+        index, width, table_rows = _texture_sampler(plane, tmp_path)(x)
+        table = table_rows(y)
+        assert table.shape == (len(y), width)
         col = np.floor(x / scale).astype(np.int64) % 11
         row = np.floor(y / scale).astype(np.int64) % 7
         dense = (image / 255.0)[row[:, None], col[None, :]]
