@@ -54,7 +54,11 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="ascii")
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, parser: argparse.ArgumentParser) -> int:
+    pupil = args.pupil_diameter_mm
+    # nan would never trip the baseline warning below.
+    if pupil is not None and not 0 < pupil < math.inf:
+        parser.error(f"--pupil-diameter-mm must be positive and finite, got {pupil}")
     config = load_config(args.config)
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
@@ -81,12 +85,12 @@ def cmd_predict(args) -> int:
                 lines.append(f"{gap},{dx:g},{b:.6f},{phi:.6f},{z:.6f}")
         else:
             lines.append(f"{gap},,{b:.6f},{phi:.6f},")
-    if args.pupil_diameter_mm is not None and rigs:
+    if pupil is not None and rigs:
         widest = max(rig.baseline_mm for _, rig in rigs)
-        if widest > args.pupil_diameter_mm:
+        if widest > pupil:
             print(
                 f"warning: widest baseline {widest:.4f} mm exceeds the "
-                f"entrance pupil diameter {args.pupil_diameter_mm:g} mm",
+                f"entrance pupil diameter {pupil:g} mm",
                 file=sys.stderr,
             )
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -105,6 +109,8 @@ def cmd_extract(args) -> int:
 def cmd_disparity(args, parser: argparse.ArgumentParser) -> int:
     if args.block < 1 or args.block % 2 == 0:
         parser.error(f"--block must be odd, got {args.block}")
+    if args.maxd < 1:
+        parser.error(f"--maxd must be >= 1, got {args.maxd}")
     left, left_maxval = lightfield.read_pgm(args.left)
     right, right_maxval = lightfield.read_pgm(args.right)
     # Matching views of different scales would give a plausible, wrong map.
@@ -198,14 +204,10 @@ def cmd_verify(args) -> int:
     total = failed = 0
     if args.config is not None:
         config = load_config(args.config)
+        outcomes = []
         if args.reference is not None:
             outcomes = presets.run_factory_checks(args.reference, config)
-            n, f = _report(outcomes, args.verbose)
-            total += n
-            failed += f
-        n, f = _report(presets.run_consistency_checks(config), args.verbose)
-        total += n
-        failed += f
+        total, failed = _report(outcomes + presets.run_consistency_checks(config), args.verbose)
     else:
         names = args.fixtures or sorted(presets.REFERENCE_VALUES)
         for name in names:
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "predict":
-            return cmd_predict(args)
+            return cmd_predict(args, parser)
         if args.command == "extract":
             return cmd_extract(args)
         if args.command == "disparity":

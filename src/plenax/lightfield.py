@@ -5,11 +5,12 @@ M x M pixels, the centre pixel of each sitting on its micro image centre.
 Flat sensor coordinates (k, l) and 4-D coordinates (j, h, i, g) are related
 by k = j*M + c + i and l = h*M + c + g with c = (M-1)/2. Collecting, from
 every micro image, the pixel at one fixed offset (i, g) yields the
-sub-aperture view for that offset, one pixel per micro lens. decode stores
-the light field view-major, as one array indexed [c + i, c + g, h, j], and
-fills it one lens row (M raw rows) at a time. `plenax extract` places blocks
-of whole lens rows, read straight from the file, the same way and appends
-each view's rows to its own file, so it holds neither the raw nor the views.
+sub-aperture view for that offset, one pixel per micro lens. That is a pure
+reindexing, so decode returns the light field view-major, indexed
+[c + i, c + g, h, j], as a read-only strided view of the raw that copies
+nothing. `plenax extract` copies blocks of whole lens rows, read straight
+from the file, through the same map into a block buffer and appends each
+view's rows to its own file, so it holds neither the raw nor the views.
 Every P5 file, `plenax render`'s raw included, goes through one writer that
 takes a row block at a time.
 """
@@ -64,11 +65,11 @@ class SubApertureImage:
 def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
     """Reindex a raw capture into its sub-aperture views, losslessly.
 
-    Copies the raw once, one lens row (M raw rows) at a time, into a new
-    read-only C-contiguous array of shape (M, M, count_v, count_h) where
-    views[c + i, c + g] is viewpoint (i, g); views extracted from it share
-    that storage. Only the returned array is frame-sized; `plenax extract`
-    writes the same views to files without ever building it.
+    Returns a read-only (M, M, count_v, count_h) view of raw.samples, in
+    which views[c + i, c + g] is viewpoint (i, g). Nothing is copied: the
+    views are strided and share the raw's storage, so changing the raw
+    afterwards changes them. `plenax extract` writes the same views to
+    files without holding the raw.
 
     Args:
         raw: Calibrated raw image.
@@ -77,35 +78,31 @@ def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
             decoding yields upright views. Applying the flag twice restores
             the original orientation.
     """
-    m = raw.config.sensor.micro_image_px
-    count_v, count_h = raw.config.mla.count_v, raw.config.mla.count_h
-    views = np.empty((m, m, count_v, count_h), dtype=raw.samples.dtype)
-    for row in range(count_v):
-        _place_lens_row(views, row, raw.samples[row * m : (row + 1) * m], rotate_180)
+    views = _view_major(raw.samples, raw.config.sensor.micro_image_px, rotate_180)
     views.flags.writeable = False
     return views
 
 
-def _place_lens_row(views: np.ndarray, row: int, block: np.ndarray, rotate_180: bool) -> None:
-    """Copy lens row `row` of the raw, its (M, count_h * M) block, into views.
+def _view_major(samples: np.ndarray, m: int, rotate_180: bool) -> np.ndarray:
+    """View-major (M, M, lens rows, lens columns) view of whole micro images.
 
     The one implementation of the map from raw pixel (h*M + g', j*M + i') to
-    views[i', g', h, j]. Rotated by 180 degrees, lens row h lands flipped at
-    count_v - 1 - h.
+    views[i', g', h, j]. It only splits and permutes axes, so it never
+    copies, whatever the samples' strides.
     """
-    m, _, count_v, count_h = views.shape
     if rotate_180:
-        row, block = count_v - 1 - row, block[::-1, ::-1]
-    # (g', j, i') -> (i', g', j)
-    views[:, :, row] = block.reshape(m, count_h, m).transpose(2, 0, 1)
+        samples = samples[::-1, ::-1]
+    height, width = samples.shape
+    # (h, g', j, i') -> (i', g', h, j)
+    return samples.reshape(height // m, m, width // m, m).transpose(3, 1, 0, 2)
 
 
 def extract_view(views: np.ndarray, i: int, g: int) -> SubApertureImage:
     """Sub-aperture view at offset (i, g), one pixel per micro lens.
 
-    The pixels are the contiguous (count_v, count_h) block views[c + i, c + g]
-    of decode's array, read-only and not copied: copy them before changing
-    them.
+    The pixels are views[c + i, c + g] of decode's array: a read-only,
+    strided (count_v, count_h) view of the raw, not copied and not
+    contiguous. Copy them before changing them.
     """
     c = views.shape[0] // 2
     if abs(i) > c or abs(g) > c:
@@ -261,12 +258,13 @@ def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_1
     and samples are all checked before out_dir is made.
 
     A P5 body is read k whole lens rows at a time (at most _BLOCK_BYTES) in
-    the file's sample type, placed with _place_lens_row into an
-    (M, M, k, count_h) buffer, and each view's (k, count_h) slab is appended
-    to its open file as it stands. With rotate_180 the blocks are read last
-    to first, so view rows are still written top to bottom. A maxval below
-    the sample type's maximum costs one scan of the body first. A P2 body
-    goes through read_pgm's parser, then the same blocks.
+    the file's sample type and copied, in one assignment through decode's
+    view-major map, into an (M, M, k, count_h) buffer; each view's
+    contiguous (k, count_h) slab is appended to its open file as it stands.
+    With rotate_180 the blocks are read last to first, so view rows are
+    still written top to bottom. A maxval below the sample type's maximum
+    costs one scan of the body first. A P2 body goes through read_pgm's
+    parser, then the same blocks.
 
     Returns:
         The number of views written.
@@ -315,9 +313,8 @@ def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_1
                 ]
                 for first in firsts:
                     count = min(k, count_v - first)
-                    rows, part = lens_rows(first, count), views[:, :, :count]
-                    for row in range(count):
-                        _place_lens_row(part, row, rows[row * m : (row + 1) * m], rotate_180)
+                    part = views[:, :, :count]
+                    part[...] = _view_major(lens_rows(first, count), m, rotate_180)
                     for (i, g), writer in zip(group, writers):
                         writer.write(part[c + i, c + g])
     return len(offsets)

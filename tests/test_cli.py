@@ -73,6 +73,17 @@ class TestPredict:
         assert code == 0
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("diameter", ["nan", "inf", "0", "-1"])
+    def test_bad_pupil_diameter_is_usage_error(self, capsys, tmp_path, diameter):
+        # nan used to pass silently, so the baseline warning could never fire.
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as info:
+            main(["predict", str(missing), "--gaps", "12", f"--pupil-diameter-mm={diameter}"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--pupil-diameter-mm must be positive and finite" in err
+        assert "missing.cfg" not in err
+
     @pytest.mark.parametrize("gaps", ["0,2", "2,-1", "0"])
     def test_gap_below_one_rejected_before_writing(self, capsys, f197_cfg_path, tmp_path, gaps):
         # "--gaps 0,2" used to exit 0 with a silent row "0,,0.000000,0.000000,".
@@ -255,6 +266,19 @@ class TestDisparityCommand:
                 "--out", str(tmp_path / "d.csv"),
             ])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("maxd", ["0", "-3"])
+    def test_maxd_below_one_is_usage_error_before_reading(self, capsys, tmp_path, maxd):
+        # The views do not exist: the flag is rejected before either is read.
+        left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+        with pytest.raises(SystemExit) as info:
+            main([
+                "disparity", str(left), str(right), f"--maxd={maxd}",
+                "--out", str(tmp_path / "d.csv"),
+            ])
+        assert info.value.code == 2
+        assert f"--maxd must be >= 1, got {maxd}" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_no_subpixel_yields_integers(self, tmp_path):
         rng = np.random.default_rng(3)

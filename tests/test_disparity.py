@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import plenax as px
 from plenax import disparity
 
-from conftest import match_views
+from conftest import match_views, rig
 
 
 def sad_cost(left, right, x, y, d, block_size):
@@ -468,6 +468,29 @@ class TestBlockMatch:
         finally:
             sys.setswitchinterval(interval)
         want = _reference_block_match(left, right, params)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
+    def test_strided_views_match_their_contiguous_copies(self, dtype):
+        # decode's views are strided slices of the raw. uint16 runs the
+        # int32 path; float64 with fractional values runs the float path.
+        m, count_h, count_v = 5, 61, 41
+        rng = np.random.default_rng(17)
+        samples = (rng.random((count_v * m, count_h * m)) * 4000).astype(dtype)
+        lf = px.decode(px.RawLightFieldImage(samples=samples, config=rig(m, count_h, count_v)))
+        left, right = (px.extract_view(lf, i, 0).pixels for i in (-1, 1))
+        assert not left.flags.c_contiguous and not right.flags.c_contiguous
+        params = px.MatchParams(block_size=7, max_disparity=4)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            # The band count is asked for on the int32 path only.
+            patch.setattr(disparity, "_band_count", lambda rows, b: calls.append(rows) or 2)
+            got = px.block_match(left, right, params).values
+            want = px.block_match(
+                np.ascontiguousarray(left), np.ascontiguousarray(right), params
+            ).values
+        assert len(calls) == 2 * (dtype is np.uint16)
+        assert np.isfinite(got).any()
         assert got.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):

@@ -66,17 +66,23 @@ class TestViewMajorDecode:
         count_h=st.sampled_from([1, 3, 5, 7]),
         count_v=st.integers(1, 6),
         dtype=st.sampled_from([np.uint8, np.uint16, np.float64]),
+        layout=st.sampled_from(["C", "F", "column slice"]),
         rotate=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_views_match_strided_formula(self, m, count_h, count_v, dtype, rotate, seed):
+    def test_views_match_strided_formula(self, m, count_h, count_v, dtype, layout, rotate, seed):
         config = rig(m, count_h, count_v)
         rng = np.random.default_rng(seed)
-        samples = (rng.random((count_v * m, count_h * m)) * 255).astype(dtype)
+        shape = (count_v * m, count_h * m)
+        if layout == "column slice":  # neither C- nor Fortran-contiguous
+            wide = (rng.random((shape[0], shape[1] + 7)) * 255).astype(dtype)
+            samples = wide[:, 3 : 3 + shape[1]]
+        else:
+            samples = (rng.random(shape) * 255).astype(dtype, order=layout)
         raw = px.RawLightFieldImage(samples=samples, config=config)
         views = px.decode(raw, rotate_180=rotate)
         assert views.shape == (m, m, count_v, count_h)
-        assert views.flags.c_contiguous and not views.flags.writeable
+        assert np.shares_memory(views, samples) and not views.flags.writeable
         assert samples.flags.writeable
         mosaic = samples[::-1, ::-1] if rotate else samples
         c = (m - 1) // 2
@@ -85,7 +91,7 @@ class TestViewMajorDecode:
                 expected = np.ascontiguousarray(mosaic[c + g :: m, c + i :: m]).tobytes()
                 assert views[c + i, c + g].tobytes() == expected
                 pixels = px.extract_view(views, i, g).pixels
-                assert pixels.flags.c_contiguous and not pixels.flags.writeable
+                assert np.shares_memory(pixels, samples) and not pixels.flags.writeable
                 assert pixels.shape == (count_v, count_h)
                 assert pixels.tobytes() == expected
         back = flatten(px.decode(raw)).samples
@@ -96,8 +102,23 @@ class TestViewMajorDecode:
         with pytest.raises(ValueError):
             px.extract_view(views, 0, 0).pixels[0, 0] = 1
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_decode_copies_no_frame(self, rotate):
+        # f197 size: the 17.9 MB raw is reindexed in place, not copied.
+        config = px.load_fixture("f197_mla2_inf")
+        samples = np.zeros((config.image_height_px, config.image_width_px), dtype=np.uint16)
+        raw = px.RawLightFieldImage(samples=samples, config=config)
+        tracemalloc.start()
+        try:
+            views = px.decode(raw, rotate_180=rotate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert np.shares_memory(views, samples)
+
     def test_views_share_the_decoded_storage(self):
-        # f197 size: the 169 views are slices of one 18 MB array, where the
+        # f197 size: the 169 views are slices of the 17.9 MB raw, where the
         # strided copies they replaced allocated 17.9 MB.
         config = px.load_fixture("f197_mla2_inf")
         samples = np.zeros((config.image_height_px, config.image_width_px), dtype=np.uint16)
