@@ -26,24 +26,26 @@ from .configio import load_config
 from .optics import derive_focus_state
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    if not text.strip():
-        return []
+def _int_list(text: str) -> list[int]:
+    """argparse type: a comma-separated integer list, empty for blank text."""
     try:
-        return [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in text.split(",")] if text.strip() else []
     except ValueError:
-        raise SystemExit(f"error: {what} must be a comma-separated integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated integer list, got {text!r}"
+        ) from None
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    if not text.strip():
-        return []
+def _finite_float_list(text: str) -> list[float]:
+    """argparse type: a comma-separated list of finite numbers, empty for blank text."""
     try:
-        values = [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")] if text.strip() else []
     except ValueError:
-        raise SystemExit(f"error: {what} must be a comma-separated number list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a comma-separated number list, got {text!r}"
+        ) from None
     if not all(math.isfinite(v) for v in values):
-        raise SystemExit(f"error: {what} must be finite numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite numbers, got {text!r}")
     return values
 
 
@@ -63,10 +65,10 @@ def cmd_predict(args, parser: argparse.ArgumentParser) -> int:
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
     try:
-        rigs = [(gap, array.pair(gap)) for gap in _parse_int_list(args.gaps, "--gaps")]
+        rigs = [(gap, array.pair(gap)) for gap in args.gaps]
     except ValueError as exc:
         raise ValueError(f"--gaps: {exc}") from None
-    disparities = _parse_float_list(args.disparities, "--disparities")
+    disparities = args.disparities
     dx_mm = np.array(disparities) * array.virtual_pixel_pitch_mm
 
     lines = [
@@ -231,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="baseline / tilt / distance table")
     p.add_argument("config")
-    p.add_argument("--gaps", default="1", help="comma-separated viewpoint gaps G")
-    p.add_argument(
-        "--disparities", default="", help="comma-separated disparities in pixels"
-    )
+    p.add_argument("--gaps", type=_int_list, default="1",
+                   help="comma-separated viewpoint gaps G")
+    p.add_argument("--disparities", type=_finite_float_list, default="",
+                   help="comma-separated disparities in pixels")
     p.add_argument("--pupil-diameter-mm", type=float, default=None,
                    help="warn when a baseline exceeds this pupil diameter")
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")

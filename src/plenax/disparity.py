@@ -414,7 +414,11 @@ def to_graymap(values: np.ndarray) -> np.ndarray:
     hi = arr[finite].max()
     if hi == lo:
         out[finite] = 65535 // 2
-    else:
+        return out
+    if hi / 2 - lo / 2 <= np.finfo(np.float64).max / 2:
         scaled = (arr[finite] - lo) / (hi - lo) * 65535
-        out[finite] = np.round(scaled).astype(out.dtype)
+    else:
+        # hi - lo would overflow; halving is exact for normal floats.
+        scaled = (arr[finite] / 2 - lo / 2) / (hi / 2 - lo / 2) * 65535
+    out[finite] = np.round(scaled).astype(out.dtype)
     return out

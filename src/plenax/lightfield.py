@@ -252,10 +252,11 @@ def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_1
     """Write the views of the raw graymap at path into out_dir, holding no frame.
 
     The files are byte for byte those write_pgm writes for each view of
-    decode(RawLightFieldImage(read_pgm(path))), named by view_filename and
-    carrying the raw's maxval. Errors name the path as read_pgm's do, and so
-    does a raw whose size is not the config's; the header, size, body length
-    and samples are all checked before out_dir is made.
+    decode(RawLightFieldImage(read_pgm(path)[0], config), rotate_180), named
+    by view_filename and carrying the raw's maxval. Errors name the path as
+    read_pgm's do, and so does a raw whose size is not the config's; the
+    header, size, body length and samples are all checked before out_dir is
+    made.
 
     A P5 body is read k whole lens rows at a time (at most _BLOCK_BYTES) in
     the file's sample type and copied, in one assignment through decode's

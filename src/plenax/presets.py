@@ -4,19 +4,22 @@ Every fixture is a complete camera description file bundled with the
 package. The reference tables below hold the values each fixture must
 reproduce: focus solutions, lenslet cardinal points, viewpoint baselines
 and tilts, and triangulated distances for known disparities. They are the
-data behind the verify command; each entry carries its own tolerance.
+data behind the verify command; each entry carries its own measure, a
+function of the camera, its focus state and its viewpoint array, and its
+own tolerance.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import oracle, raymodel
 from .configio import load_config
-from .optics import INFINITY, CameraConfig, derive_focus_state, mla_cardinal_points
+from .optics import INFINITY, CameraConfig, derive_focus_state
 
 
 def fixture_names() -> tuple[str, ...]:
@@ -38,14 +41,18 @@ def load_fixture(name: str) -> CameraConfig:
 
 @dataclass(frozen=True)
 class ReferenceCheck:
-    """One factory value: what to compute, what to expect, how closely."""
+    """One factory value: how to measure it, what to expect, how closely.
+
+    measure(config, state, array) returns the value, or None when the camera
+    lacks what it needs; the check is then skipped with skip_note.
+    """
 
     label: str
-    kind: str
+    measure: Callable[..., float | None]
     expected: float
     tolerance: float
-    args: tuple = ()
     relative: bool = False
+    skip_note: str = ""
 
 
 @dataclass(frozen=True)
@@ -60,41 +67,62 @@ class CheckOutcome:
 
 def _focus(b_u: float, d_ap: float) -> list[ReferenceCheck]:
     return [
-        ReferenceCheck("image distance b_U", "image_distance", b_u, 5e-4),
-        ReferenceCheck("exit pupil distance d_A'", "exit_pupil", d_ap, 5e-4),
+        ReferenceCheck("image distance b_U", lambda cfg, st, arr: st.b_u_mm, b_u, 5e-4),
+        ReferenceCheck("exit pupil distance d_A'", lambda cfg, st, arr: st.d_ap_mm, d_ap, 5e-4),
     ]
 
 
 def _mla(f_s: float) -> list[ReferenceCheck]:
     return [
-        ReferenceCheck("lenslet focal length", "mla_focal", f_s, 1e-3),
-        ReferenceCheck("lenslet principal plane gap", "mla_gap", 0.396, 1e-3),
+        # The lenslet's thick-lens model; f_s itself for a thin lenslet.
+        ReferenceCheck(
+            "lenslet focal length", lambda cfg, st, arr: cfg.mla._lens.focal_length, f_s, 1e-3
+        ),
+        ReferenceCheck(
+            "lenslet principal plane gap", lambda cfg, st, arr: cfg.mla.principal_gap_mm,
+            0.396, 1e-3, skip_note="skipped: no lens prescription to derive it from",
+        ),
     ]
 
 
 def _pair(gap: int, b: float | None = None, phi_deg: float | None = None) -> list[ReferenceCheck]:
     checks = []
     if b is not None:
-        checks.append(
-            ReferenceCheck(f"baseline B_{gap}", "baseline", b, 5e-4, args=(gap,))
-        )
+        checks.append(ReferenceCheck(
+            f"baseline B_{gap}", lambda cfg, st, arr: arr.pair(gap).baseline_mm, b, 5e-4
+        ))
     if phi_deg is not None:
-        checks.append(
-            ReferenceCheck(f"tilt Phi_{gap}", "tilt_deg", phi_deg, 5e-4, args=(gap,))
-        )
+        checks.append(ReferenceCheck(
+            f"tilt Phi_{gap}", lambda cfg, st, arr: math.degrees(arr.pair(gap).tilt_rad),
+            phi_deg, 5e-4,
+        ))
     return checks
 
 
-def _dist(dx: float, z: float, tolerance: float = 1e-4, relative: bool = True) -> ReferenceCheck:
+def _rounded_baseline(gap: int, b: float) -> ReferenceCheck:
+    """A baseline quoted to 4 decimals, which it must match exactly."""
     return ReferenceCheck(
-        f"distance, gap 1, disparity {dx:g} px", "distance", z, tolerance,
-        args=(1, dx), relative=relative,
+        f"baseline B_{gap}", lambda cfg, st, arr: round(arr.pair(gap).baseline_mm, 4), b, 0.0
+    )
+
+
+def _dist(dx: float, z: float, tolerance: float = 1e-4, relative: bool = True) -> ReferenceCheck:
+    query = raymodel.TriangulationQuery(gap=1, disparity_px=dx)
+    return ReferenceCheck(
+        f"distance, gap 1, disparity {dx:g} px",
+        # Looked up per call, so a wrapped raymodel.triangulate sees the call.
+        lambda cfg, st, arr: raymodel.triangulate(arr, query), z, tolerance, relative,
     )
 
 
 def _front_pupil(expected: float) -> ReferenceCheck:
+    def measure(cfg, st, arr):
+        v1h1 = cfg.main_lens.front_vertex_to_h1_mm
+        return None if v1h1 is None else v1h1 + raymodel.entrance_pupil_distance(st, cfg)
+
     return ReferenceCheck(
-        "front vertex to entrance pupil", "front_pupil", expected, 1e-6
+        "front vertex to entrance pupil", measure, expected, 1e-6,
+        skip_note="skipped: front vertex position not given",
     )
 
 
@@ -102,21 +130,18 @@ REFERENCE_VALUES: dict[str, tuple[ReferenceCheck, ...]] = {
     "f193_mla2_inf": tuple(
         _focus(193.2935, 111.0324) + _mla(2.75)
         + _pair(6, b=3.7956, phi_deg=0.0)
-        + [_dist(1, 978.2150), _dist(2, 489.1075),
-           _dist(0, INFINITY), _front_pupil(240.2113)]
+        + [_dist(1, 978.2150), _dist(2, 489.1075), _dist(0, INFINITY), _front_pupil(240.2113)]
     ),
     "f193_mla2_3m": tuple(
         _focus(207.3134, 125.0523) + _mla(2.75)
         + _pair(6, b=4.2748, phi_deg=0.0816)
-        + [_dist(0, 3001.4530), _dist(1, 877.9068), _dist(2, 514.1456),
-           _front_pupil(240.2113)]
+        + [_dist(0, 3001.4530), _dist(1, 877.9068), _dist(2, 514.1456), _front_pupil(240.2113)]
     ),
     "f193_mla2_1p5m": tuple(
         _focus(225.8852, 143.6241) + _mla(2.75)
         + _pair(6, b=4.9097, phi_deg=0.1897)
-        + [_dist(-1, 15770.8729, tolerance=2.0, relative=False),
-           _dist(0, 1482.8768), _dist(1, 778.0154), _dist(2, 527.3487),
-           _front_pupil(240.2113)]
+        + [_dist(-1, 15770.8729, tolerance=2.0, relative=False), _dist(0, 1482.8768),
+           _dist(1, 778.0154), _dist(2, 527.3487), _front_pupil(240.2113)]
     ),
     "f193_mla1_inf": tuple(
         _focus(193.2935, 111.0324) + _mla(1.25)
@@ -126,8 +151,7 @@ REFERENCE_VALUES: dict[str, tuple[ReferenceCheck, ...]] = {
     "f193_mla1_3m": tuple(
         _focus(207.3134, 125.0523) + _mla(1.25)
         + _pair(6, b=9.4047, phi_deg=0.1795)
-        + [_dist(0, 3001.4530), _dist(1, 1429.6116), _dist(2, 938.2541),
-           _front_pupil(240.2113)]
+        + [_dist(0, 3001.4530), _dist(1, 1429.6116), _dist(2, 938.2541), _front_pupil(240.2113)]
     ),
     "f193_mla1_1p5m": tuple(
         _focus(225.8852, 143.6241) + _mla(1.25)
@@ -143,85 +167,39 @@ REFERENCE_VALUES: dict[str, tuple[ReferenceCheck, ...]] = {
     "f90_mla2_3m": tuple(
         _focus(93.3043, 88.0205) + _mla(2.75)
         + _pair(6, b=1.8357, phi_deg=0.0361)
-        + [_dist(0, 2913.5460), _dist(1, 212.1505), _dist(2, 110.0831),
-           _front_pupil(27.4627)]
+        + [_dist(0, 2913.5460), _dist(1, 212.1505), _dist(2, 110.0831), _front_pupil(27.4627)]
     ),
     "f90_mla2_1p5m": tuple(
         _focus(96.6224, 91.3386) + _mla(2.75)
         + _pair(6, b=1.9049, phi_deg=0.0774)
-        + [_dist(0, 1410.2257), _dist(1, 209.7424), _dist(2, 113.2965),
-           _front_pupil(27.4627)]
+        + [_dist(0, 1410.2257), _dist(1, 209.7424), _dist(2, 113.2965), _front_pupil(27.4627)]
     ),
     "f197_mla2_inf": tuple(
         _focus(197.1264, 100.5000) + _mla(2.75)
-        + _pair(4, b=2.5806) + _pair(8, b=5.1611)
-        + [_dist(0, INFINITY)]
+        + _pair(4, b=2.5806) + _pair(8, b=5.1611) + [_dist(0, INFINITY)]
     ),
     "f197_mla2_4m": tuple(
         _focus(208.3930, 111.7666) + _mla(2.75)
         + _pair(4, phi_deg=0.0429) + _pair(8, phi_deg=0.0857)
     ),
-    "lytro_f6p45": (
-        ReferenceCheck("baseline B_1", "baseline_rounded", 0.3612, 0.0, args=(1,)),
-        ReferenceCheck("baseline B_8", "baseline_rounded", 2.8896, 0.0, args=(8,)),
-    ),
-    "lytro_f51p4": (
-        ReferenceCheck("baseline B_1", "baseline_rounded", 2.8784, 0.0, args=(1,)),
-        ReferenceCheck("baseline B_8", "baseline_rounded", 23.0272, 0.0, args=(8,)),
-    ),
+    "lytro_f6p45": (_rounded_baseline(1, 0.3612), _rounded_baseline(8, 2.8896)),
+    "lytro_f51p4": (_rounded_baseline(1, 2.8784), _rounded_baseline(8, 23.0272)),
 }
 
 
 def _evaluate(check: ReferenceCheck, config: CameraConfig, state, array) -> CheckOutcome:
-    note = ""
-    if check.kind == "image_distance":
-        got = state.b_u_mm
-    elif check.kind == "exit_pupil":
-        got = state.d_ap_mm
-    elif check.kind == "mla_focal":
-        if config.mla.thickness_mm is None:
-            got = config.mla.focal_length_mm
-        else:
-            got, _ = mla_cardinal_points(
-                config.mla.thickness_mm, config.mla.refractive_index,
-                config.mla.radius_front_mm, config.mla.radius_back_mm,
-            )
-    elif check.kind == "mla_gap":
-        if config.mla.principal_gap_mm is None:
-            return CheckOutcome(
-                check.label, check.expected, math.nan, check.tolerance,
-                passed=True, note="skipped: no lens prescription to derive it from",
-            )
-        got = config.mla.principal_gap_mm
-    elif check.kind in ("baseline", "baseline_rounded"):
-        got = array.pair(check.args[0]).baseline_mm
-        if check.kind == "baseline_rounded":
-            got = round(got, 4)
-    elif check.kind == "tilt_deg":
-        got = math.degrees(array.pair(check.args[0]).tilt_rad)
-    elif check.kind == "distance":
-        gap, dx = check.args
-        got = raymodel.triangulate(
-            array, raymodel.TriangulationQuery(gap=gap, disparity_px=dx)
+    got = check.measure(config, state, array)
+    if got is None:
+        return CheckOutcome(
+            check.label, check.expected, math.nan, check.tolerance, True, check.skip_note
         )
-    elif check.kind == "front_pupil":
-        v1h1 = config.main_lens.front_vertex_to_h1_mm
-        if v1h1 is None:
-            return CheckOutcome(
-                check.label, check.expected, math.nan, check.tolerance,
-                passed=True, note="skipped: front vertex position not given",
-            )
-        got = v1h1 + raymodel.entrance_pupil_distance(state, config)
-    else:
-        raise ValueError(f"unknown check kind {check.kind!r}")
-
     if math.isinf(check.expected):
         passed = math.isinf(got) and got > 0
     else:
         bound = check.tolerance * (abs(check.expected) if check.relative else 1.0)
         # Zero tolerance means match at the printed precision.
         passed = abs(got - check.expected) <= max(bound, 1e-12)
-    return CheckOutcome(check.label, check.expected, got, check.tolerance, passed, note)
+    return CheckOutcome(check.label, check.expected, got, check.tolerance, passed)
 
 
 def run_factory_checks(name: str, config: CameraConfig | None = None) -> list[CheckOutcome]:
@@ -253,44 +231,25 @@ def run_consistency_checks(config: CameraConfig) -> list[CheckOutcome]:
     sim = oracle.simulate_virtual_cameras(config, state)
     tol = 1e-9
 
-    def close(a, b):
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    def agree(label: str, closed: float, traced: float) -> CheckOutcome:
+        close = abs(closed - traced) <= tol * max(1.0, abs(closed), abs(traced))
+        return CheckOutcome(label, closed, traced, tol, close)
 
-    z_a = raymodel.entrance_pupil_distance(state, config)
+    spread = sim.intersection_spread_mm
     outcomes = [
-        CheckOutcome(
+        agree(
             "entrance pupil distance, traced vs closed form",
-            z_a,
+            raymodel.entrance_pupil_distance(state, config),
             sim.entrance_pupil_to_h1_mm,
-            tol,
-            close(z_a, sim.entrance_pupil_to_h1_mm),
         ),
-        CheckOutcome(
-            "ray intersection spread",
-            0.0,
-            sim.intersection_spread_mm,
-            tol,
-            sim.intersection_spread_mm < tol,
-        ),
+        CheckOutcome("ray intersection spread", 0.0, spread, tol, spread < tol),
     ]
     c = config.sensor.half_span
     for i in range(-c, c + 1):
         outcomes.append(
-            CheckOutcome(
-                f"viewpoint position, i = {i:+d}",
-                array.position(i),
-                sim.positions_mm[c + i],
-                tol,
-                close(array.position(i), sim.positions_mm[c + i]),
-            )
+            agree(f"viewpoint position, i = {i:+d}", array.position(i), sim.positions_mm[c + i])
         )
         outcomes.append(
-            CheckOutcome(
-                f"viewpoint tilt, i = {i:+d}",
-                array.tilt(i),
-                sim.tilt_angles_rad[c + i],
-                tol,
-                close(array.tilt(i), sim.tilt_angles_rad[c + i]),
-            )
+            agree(f"viewpoint tilt, i = {i:+d}", array.tilt(i), sim.tilt_angles_rad[c + i])
         )
     return outcomes

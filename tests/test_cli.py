@@ -95,9 +95,31 @@ class TestPredict:
         assert not out.exists()
 
     @pytest.mark.parametrize("disparities", ["nan", "1,inf"])
-    def test_non_finite_disparity_rejected(self, f197_cfg_path, disparities):
-        with pytest.raises(SystemExit, match="--disparities must be finite"):
+    def test_non_finite_disparity_rejected(self, capsys, f197_cfg_path, disparities):
+        with pytest.raises(SystemExit) as info:
             main(["predict", f197_cfg_path, "--disparities", disparities])
+        assert info.value.code == 2
+        assert "--disparities: must be finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--disparities", "nan", "must be finite numbers"),
+            ("--disparities", "1,x", "must be a comma-separated number list"),
+            ("--gaps", "x", "must be a comma-separated integer list"),
+        ],
+    )
+    def test_malformed_list_is_usage_error_before_reading(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        # The config does not exist: the flag is rejected before it is read.
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(SystemExit) as info:
+            main(["predict", str(missing), flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: {message}, got {value!r}" in err
+        assert "missing.cfg" not in err
 
     def test_bad_config_reports_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -445,6 +467,34 @@ class TestVerify:
         assert code == 0
         assert "SKIP" in out
         assert "front vertex" in out
+
+    def test_thin_lenslet_camera_skips_both_prescription_checks(self, capsys):
+        lytro = str(px.fixture_path("lytro_f51p4"))
+        code, out, _ = run(
+            capsys, "verify", "--config", lytro, "--reference", "f193_mla2_inf"
+        )
+        assert code == 1
+        skips = [line for line in out.splitlines() if line.startswith("SKIP")]
+        assert skips == [
+            "SKIP lenslet principal plane gap: skipped: no lens prescription to derive it from",
+            "SKIP front vertex to entrance pupil: skipped: front vertex position not given",
+        ]
+        outcomes = px.run_factory_checks("f193_mla2_inf", px.load_fixture("lytro_f51p4"))
+        skipped = [o for o in outcomes if o.note]
+        assert len(skipped) == 2
+        assert all(o.passed and math.isnan(o.got) for o in skipped)
+
+    def test_every_outcome_records_builtin_floats(self):
+        # --verbose prints repr(got); an np.float64 or int would change it.
+        names = px.fixture_names()
+        assert len(names) == 13
+        outcomes = []
+        for name in names:
+            outcomes += px.run_factory_checks(name)
+            outcomes += px.run_consistency_checks(px.load_fixture(name))
+        assert len(outcomes) == 455
+        for o in outcomes:
+            assert type(o.got) is float and type(o.expected) is float, o
 
     def test_config_without_reference_runs_consistency(self, capsys, f197_cfg_path):
         code, out, _ = run(capsys, "verify", "--config", f197_cfg_path)

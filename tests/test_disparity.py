@@ -594,6 +594,11 @@ class TestGraymap:
         assert g[0, 0] == 0 and g[0, 2] == 65535 and g[0, 1] == 32768
         assert g[1, 0] == 0 and g[1, 1] == 0
 
+    def test_span_past_float_range_still_scales(self):
+        # hi - lo overflows here; the pytest config turns its warning into a failure.
+        g = px.to_graymap(np.array([[-1e308, 0.0, 1e308]]))
+        assert g.tolist() == [[0, 32768, 65535]]
+
     def test_constant_map_maps_to_mid_scale(self):
         g = px.to_graymap(np.full((2, 2), 3.7))
         assert np.all(g == 32767)
