@@ -40,21 +40,15 @@ from .optics import (
     MicroLensSpec,
     SensorSpec,
     derive_focus_state,
-    mla_cardinal_points,
     solve_image_distance,
 )
 from .oracle import (
-    Refraction,
     ScenePlane,
-    TracedRay,
-    Translation,
     VirtualCameraSimulation,
-    mla_surface_elements,
     parse_scene,
     render_synthetic_scene,
     simulate_distance,
     simulate_virtual_cameras,
-    trace,
 )
 from .presets import (
     REFERENCE_VALUES,
@@ -93,13 +87,10 @@ __all__ = [
     "MicroLensSpec",
     "RawLightFieldImage",
     "REFERENCE_VALUES",
-    "Refraction",
     "ScenePlane",
     "SensorSpec",
     "StereoRig",
     "SubApertureImage",
-    "TracedRay",
-    "Translation",
     "TriangulationQuery",
     "VirtualCameraArray",
     "VirtualCameraSimulation",
@@ -117,8 +108,6 @@ __all__ = [
     "load_fixture",
     "measure_baseline",
     "measure_tilt",
-    "mla_cardinal_points",
-    "mla_surface_elements",
     "object_ray",
     "parse_config",
     "parse_scene",
@@ -133,7 +122,6 @@ __all__ = [
     "stereo_depth",
     "subpixel_refine",
     "to_graymap",
-    "trace",
     "triangulate",
     "view_filename",
     "write_map_csv",

@@ -181,10 +181,12 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _report(outcomes, verbose: bool) -> tuple[int, int]:
-    failed = 0
+def _report(outcomes, verbose: bool) -> tuple[int, int, int]:
+    """Print the outcomes; return how many were evaluated, failed and skipped."""
+    failed = skipped = 0
     for outcome in outcomes:
         if outcome.note:
+            skipped += 1
             print(f"SKIP {outcome.label}: {outcome.note}")
             continue
         if not outcome.passed:
@@ -195,7 +197,7 @@ def _report(outcomes, verbose: bool) -> tuple[int, int]:
             )
         elif verbose:
             print(f"PASS {outcome.label}: {outcome.got!r}")
-    return len(outcomes), failed
+    return len(outcomes) - skipped, failed, skipped
 
 
 def cmd_verify(args) -> int:
@@ -203,22 +205,28 @@ def cmd_verify(args) -> int:
         raise ValueError("--reference only applies to a --config camera file")
     if args.config is not None and args.fixtures:
         raise ValueError("give either fixture names or --config, not both")
-    total = failed = 0
+    total = failed = skipped = 0
     if args.config is not None:
         config = load_config(args.config)
         outcomes = []
         if args.reference is not None:
             outcomes = presets.run_factory_checks(args.reference, config)
-        total, failed = _report(outcomes + presets.run_consistency_checks(config), args.verbose)
+        total, failed, skipped = _report(
+            outcomes + presets.run_consistency_checks(config), args.verbose
+        )
     else:
         names = args.fixtures or sorted(presets.REFERENCE_VALUES)
         for name in names:
             print(f"== {name} ==")
-            outcomes = presets.run_factory_checks(name)
-            outcomes += presets.run_consistency_checks(presets.load_fixture(name))
-            n, f = _report(outcomes, args.verbose)
+            config = presets.load_fixture(name)
+            outcomes = presets.run_factory_checks(name, config)
+            outcomes += presets.run_consistency_checks(config)
+            n, f, k = _report(outcomes, args.verbose)
             total += n
             failed += f
+            skipped += k
+    if skipped:
+        print(f"{skipped} check{'' if skipped == 1 else 's'} skipped")
     print(f"{total - failed}/{total} checks passed")
     return 0 if failed == 0 else 1
 

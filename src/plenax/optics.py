@@ -1,4 +1,4 @@
-"""Camera parameter types, micro lens cardinal points, and the focus solver.
+"""Camera parameter types, the lenslet model, and the focus solver.
 
 All lengths are millimetres. Distances along the optical axis are positive
 toward object space. The image distance b_u and the exit pupil distance d_ap
@@ -45,9 +45,9 @@ class SensorSpec:
 class MicroLensSpec:
     """Micro lens array geometry, optionally with the full lens prescription.
 
-    The lenslet model lives here: the surface powers and principal planes
-    below are what the oracle traces. A thin lenslet has all its power at
-    the front surface, no thickness and its principal planes at its vertex.
+    The lenslet model lives here, in the lens field, and the oracle traces
+    it as it stands. A thin lenslet has all its power at the front surface,
+    no thickness and its principal planes at its vertex.
 
     Attributes:
         focal_length_mm: Micro lens focal length f_s. May be None when a
@@ -64,6 +64,9 @@ class MicroLensSpec:
             1e-3 mm.
         principal_gap_mm: Separation of the lens's principal planes, derived
             from the prescription; None for a thin lenslet. Not an argument.
+        lens: The lenslet model: surface powers, glass path, focal length
+            and principal planes, from the prescription or, for a thin
+            lenslet, from focal_length_mm alone. Not an argument.
     """
 
     focal_length_mm: float | None
@@ -75,7 +78,7 @@ class MicroLensSpec:
     radius_front_mm: float | None = None
     radius_back_mm: float | None = None
     principal_gap_mm: float | None = field(init=False, default=None)
-    _lens: _ThickLens = field(init=False, repr=False, compare=False)
+    lens: _ThickLens = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = ("thickness_mm", "refractive_index", "radius_front_mm", "radius_back_mm")
@@ -111,37 +114,7 @@ class MicroLensSpec:
             )
         else:
             object.__setattr__(self, "principal_gap_mm", lens.principal_gap)
-        object.__setattr__(self, "_lens", lens)
-
-    @property
-    def power_front_per_mm(self) -> float:
-        """Power of the front (object-side) surface."""
-        return self._lens.power_front
-
-    @property
-    def power_back_per_mm(self) -> float:
-        """Power of the back (sensor-side) surface."""
-        return self._lens.power_back
-
-    @property
-    def axial_thickness_mm(self) -> float:
-        """Centre thickness, 0 for a thin lenslet."""
-        return self._lens.thickness
-
-    @property
-    def reduced_thickness_mm(self) -> float:
-        """Centre thickness over the index: the glass path in reduced angles."""
-        return self._lens.reduced_thickness
-
-    @property
-    def h1_from_front_mm(self) -> float:
-        """Object-side principal plane from the front vertex, + toward the sensor."""
-        return self._lens.h1_from_front
-
-    @property
-    def h2_from_back_mm(self) -> float:
-        """Image-side principal plane from the back vertex, + toward the sensor."""
-        return self._lens.h2_from_back
+        object.__setattr__(self, "lens", lens)
 
 
 @dataclass(frozen=True)
@@ -248,8 +221,10 @@ class CameraConfig:
 
 
 class _ThickLens(NamedTuple):
-    """One lenslet: two surface powers, the glass path between them, the
-    focal length and each principal plane's offset from its own vertex."""
+    """One lenslet: the powers of its front (object-side) and back
+    (sensor-side) surfaces, its centre thickness and the reduced glass path
+    thickness / n between them, its focal length, and each principal
+    plane's offset from its own vertex, + toward the sensor."""
 
     power_front: float
     power_back: float
@@ -261,11 +236,24 @@ class _ThickLens(NamedTuple):
 
     @property
     def principal_gap(self) -> float:
+        """Axial distance from the object-side to the image-side principal plane."""
         return (self.thickness + self.h2_from_back) - self.h1_from_front
 
 
 def _thick_lens(thickness_mm, refractive_index, radius_front_mm, radius_back_mm) -> _ThickLens:
-    """The lens model behind mla_cardinal_points, which documents it."""
+    """Paraxial model of a single lens: two refractions separated by the
+    reduced glass path.
+
+    Args:
+        thickness_mm: Centre thickness.
+        refractive_index: Glass index n, must be > 1.
+        radius_front_mm: Signed front surface radius (positive bulging toward
+            the object). Must be nonzero; an infinite radius is a flat surface.
+        radius_back_mm: Signed back surface radius, may be +/- infinity.
+
+    Raises:
+        ValueError: Non-physical inputs or zero combined optical power.
+    """
     prescription = (thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
     if any(math.isnan(v) for v in prescription):
         raise ValueError("a lens prescription must not contain NaN")
@@ -293,35 +281,6 @@ def _thick_lens(thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
     return _ThickLens(
         power_front, power_back, thickness_mm, reduced_thickness, f, h1_from_front, h2_from_back
     )
-
-
-def mla_cardinal_points(
-    thickness_mm: float,
-    refractive_index: float,
-    radius_front_mm: float,
-    radius_back_mm: float,
-) -> tuple[float, float]:
-    """Effective focal length and principal plane gap of a single lens.
-
-    Composes two paraxial refractions separated by the reduced glass path.
-    An infinite radius denotes a flat surface.
-
-    Args:
-        thickness_mm: Centre thickness.
-        refractive_index: Glass index n, must be > 1.
-        radius_front_mm: Signed front surface radius (positive bulging toward
-            the object). Must be nonzero.
-        radius_back_mm: Signed back surface radius, may be +/- infinity.
-
-    Returns:
-        (focal_length_mm, principal_gap_mm) where the gap is the axial
-        distance from the object-side to the image-side principal plane.
-
-    Raises:
-        ValueError: Non-physical inputs or zero combined optical power.
-    """
-    lens = _thick_lens(thickness_mm, refractive_index, radius_front_mm, radius_back_mm)
-    return lens.focal_length, lens.principal_gap
 
 
 def solve_image_distance(

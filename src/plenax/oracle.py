@@ -1,9 +1,9 @@
 """Independent ray-trace check of the virtual camera model, plus a renderer.
 
 Everything in this module deliberately avoids the closed-form expressions in
-raymodel. Rays are pushed through the optical train one element at a time
-(translate, refract, translate, ...), every micro lens is traced as the front
-surface, glass path and back surface of MicroLensSpec's lenslet model, and
+raymodel. Rays are pushed through the optical train one step at a time:
+free-space advances, and every micro lens traced as the front surface, glass
+path and back surface of MicroLensSpec.lens, the one lenslet model. Then
 quantities such as the pupil location, camera positions, baselines and
 triangulated distances are recovered by brute-force intersection of the
 traced object-space lines. Agreement between the two routes is a regression
@@ -35,59 +35,26 @@ from .lightfield import (
     _check_maxval,
     read_pgm,
 )
-from .optics import INFINITY, CameraConfig, FocusState, MicroLensSpec, derive_focus_state
+from .optics import INFINITY, CameraConfig, FocusState, derive_focus_state
 
 
-@dataclass(frozen=True)
-class Translation:
-    """Free advance along the axis; in glass, pass the reduced thickness."""
+def _through_lenslet(h, u, lens, center_mm=0.0, toward_scene=False):
+    """Trace (height, slope) through a MicroLensSpec.lens in traversal order.
 
-    distance_mm: float
-
-
-@dataclass(frozen=True)
-class Refraction:
-    """Thin refracting surface. center_mm decenters it off the global axis."""
-
-    power_per_mm: float
-    center_mm: float | np.ndarray = 0.0
-
-
-@dataclass(frozen=True)
-class TracedRay:
-    height_mm: float | np.ndarray
-    slope: float | np.ndarray
-
-
-def trace(ray: TracedRay, elements) -> TracedRay:
-    """Push a ray through elements in order.
-
-    Heights and slopes may be arrays; every element then acts elementwise.
+    One surface, the reduced-thickness advance, then the other surface: the
+    front first on the way to the sensor, the back first on the way to the
+    scene. Both surfaces are centred at center_mm. A thin lenslet has all
+    its power at the front and no thickness, so its back surface and advance
+    pass the ray through unchanged. Heights and slopes may be arrays; every
+    step then acts elementwise.
     """
-    h = ray.height_mm
-    u = ray.slope
-    for el in elements:
-        if isinstance(el, Translation):
-            h = h + u * el.distance_mm
-        elif isinstance(el, Refraction):
-            u = u - (h - el.center_mm) * el.power_per_mm
-        else:
-            raise TypeError(f"unknown element {el!r}")
-    return TracedRay(height_mm=h, slope=u)
-
-
-def mla_surface_elements(mla: MicroLensSpec, center_mm: float | np.ndarray = 0.0):
-    """Surface sequence of one lenslet, in front-to-back traversal order.
-
-    Refraction, reduced-thickness advance, refraction. A thin lenslet has
-    all its power at the front and no thickness, so the last two pass the
-    ray through unchanged.
-    """
-    return (
-        Refraction(mla.power_front_per_mm, center_mm),
-        Translation(mla.reduced_thickness_mm),
-        Refraction(mla.power_back_per_mm, center_mm),
-    )
+    first, second = lens.power_front, lens.power_back
+    if toward_scene:
+        first, second = second, first
+    u = u - (h - center_mm) * first
+    h = h + u * lens.reduced_thickness
+    u = u - (h - center_mm) * second
+    return h, u
 
 
 @dataclass(frozen=True)
@@ -105,9 +72,9 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
     mla = config.mla
     # The sensor sits one focal length behind the image-side principal
     # plane; the vertices and the object-side plane follow from it.
-    sensor_gap = mla.focal_length_mm + mla.h2_from_back_mm
-    exit_vertex = sensor_gap + mla.axial_thickness_mm
-    lens_plane = exit_vertex - mla.h1_from_front_mm
+    sensor_gap = mla.focal_length_mm + mla.lens.h2_from_back
+    exit_vertex = sensor_gap + mla.lens.thickness
+    lens_plane = exit_vertex - mla.lens.h1_from_front
     return _Geometry(
         exit_vertex_z_mm=exit_vertex,
         lens_plane_z_mm=lens_plane,
@@ -115,12 +82,6 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
         main_lens_z_mm=lens_plane + state.b_u_mm,
         sensor_gap_mm=sensor_gap,
     )
-
-
-def _forward_elements(geom: _Geometry, mla: MicroLensSpec):
-    front, advance, back = mla_surface_elements(mla)
-    # Sensor-to-scene traversal meets the back surface first.
-    return (Translation(geom.sensor_gap_mm), back, advance, front)
 
 
 def _micro_image_centers(s, state: FocusState, config: CameraConfig, geom: _Geometry):
@@ -131,11 +92,10 @@ def _micro_image_centers(s, state: FocusState, config: CameraConfig, geom: _Geom
     counterpart of a pinhole at the lenslet center. Heights are measured
     from the axis of the lenslet at s, so the pupil center sits at -s.
     """
-    surfaces = mla_surface_elements(config.mla)
-    lead_in = Translation(geom.pupil_z_mm - geom.exit_vertex_z_mm)
-    tail = Translation(geom.sensor_gap_mm)
-    ray = trace(TracedRay(-s, s / state.d_ap_mm), (lead_in, *surfaces, tail))
-    return ray.height_mm
+    u = s / state.d_ap_mm
+    h = -s + u * (geom.pupil_z_mm - geom.exit_vertex_z_mm)
+    h, u = _through_lenslet(h, u, config.mla.lens)
+    return h + u * geom.sensor_gap_mm
 
 
 def _chief_rays(i, j, state: FocusState, config: CameraConfig):
@@ -160,23 +120,25 @@ def _chief_rays(i, j, state: FocusState, config: CameraConfig):
     geom = _geometry(state, config)
     u = _micro_image_centers(s, state, config, geom) + i * config.sensor.pixel_pitch_mm
 
-    elements = _forward_elements(geom, config.mla)
     reach_back = geom.lens_plane_z_mm - geom.exit_vertex_z_mm
 
     def line_height_at_plane(slope):
-        out = trace(TracedRay(u, slope), elements)
-        return out.height_mm + out.slope * reach_back, out
+        # Sensor to the back vertex, then through the lenslet to the scene.
+        h, slope = _through_lenslet(
+            u + slope * geom.sensor_gap_mm, slope, config.mla.lens, toward_scene=True
+        )
+        return h + slope * reach_back, h, slope
 
-    h0, _ = line_height_at_plane(np.zeros_like(u))
-    h1, _ = line_height_at_plane(np.ones_like(u))
+    h0 = line_height_at_plane(np.zeros_like(u))[0]
+    h1 = line_height_at_plane(np.ones_like(u))[0]
     gain = h1 - h0
     if np.any(gain == 0):
         raise ValueError("degenerate lenslet geometry, cannot aim chief rays")
-    _, out = line_height_at_plane(-h0 / gain)
+    _, h_out, slope_out = line_height_at_plane(-h0 / gain)
 
     reach_main = geom.main_lens_z_mm - geom.exit_vertex_z_mm
-    height_at_main = s + (out.height_mm + out.slope * reach_main)
-    slope_obj = out.slope - height_at_main / config.main_lens.focal_length_mm
+    height_at_main = s + (h_out + slope_out * reach_main)
+    slope_obj = slope_out - height_at_main / config.main_lens.focal_length_mm
     return slope_obj, height_at_main
 
 

@@ -76,7 +76,7 @@ def _mla(f_s: float) -> list[ReferenceCheck]:
     return [
         # The lenslet's thick-lens model; f_s itself for a thin lenslet.
         ReferenceCheck(
-            "lenslet focal length", lambda cfg, st, arr: cfg.mla._lens.focal_length, f_s, 1e-3
+            "lenslet focal length", lambda cfg, st, arr: cfg.mla.lens.focal_length, f_s, 1e-3
         ),
         ReferenceCheck(
             "lenslet principal plane gap", lambda cfg, st, arr: cfg.mla.principal_gap_mm,

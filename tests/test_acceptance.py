@@ -94,9 +94,9 @@ def test_focus_solver_reproduces_reference_image_distances(configs, states):
 
 def test_lens_prescriptions_recover_focal_length_and_principal_gap():
     for radius, f_s in ((0.70325, 1.25), (1.54715, 2.75)):
-        f, gap = px.mla_cardinal_points(1.1, 1.5626, radius, -math.inf)
-        assert f == pytest.approx(f_s, abs=1e-3)
-        assert gap == pytest.approx(0.396, abs=1e-3)
+        mla = px.MicroLensSpec(None, 0.125, 3, 3, 1.1, 1.5626, radius, -math.inf)
+        assert mla.focal_length_mm == pytest.approx(f_s, abs=1e-3)
+        assert mla.principal_gap_mm == pytest.approx(0.396, abs=1e-3)
 
 
 def test_reference_baselines(configs, states):

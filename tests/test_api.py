@@ -15,13 +15,10 @@ PUBLIC = [
     "MicroLensSpec",
     "REFERENCE_VALUES",
     "RawLightFieldImage",
-    "Refraction",
     "ScenePlane",
     "SensorSpec",
     "StereoRig",
     "SubApertureImage",
-    "TracedRay",
-    "Translation",
     "TriangulationQuery",
     "VirtualCameraArray",
     "VirtualCameraSimulation",
@@ -40,8 +37,6 @@ PUBLIC = [
     "load_fixture",
     "measure_baseline",
     "measure_tilt",
-    "mla_cardinal_points",
-    "mla_surface_elements",
     "object_ray",
     "parse_config",
     "parse_scene",
@@ -56,7 +51,6 @@ PUBLIC = [
     "stereo_depth",
     "subpixel_refine",
     "to_graymap",
-    "trace",
     "triangulate",
     "view_filename",
     "write_map_csv",

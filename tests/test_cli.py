@@ -433,6 +433,18 @@ class TestVerify:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_each_fixture_is_loaded_once(self, capsys, monkeypatch):
+        loaded = []
+
+        def load_config(path):
+            loaded.append(path)
+            return px.load_config(path)
+
+        monkeypatch.setattr(px.presets, "load_config", load_config)
+        code, _, _ = run(capsys, "verify")
+        assert code == 0
+        assert sorted(loaded) == sorted(map(px.fixture_path, px.fixture_names()))
+
     def test_single_fixture(self, capsys):
         code, out, _ = run(capsys, "verify", "f90_mla2_3m")
         assert code == 0
@@ -479,6 +491,8 @@ class TestVerify:
             "SKIP lenslet principal plane gap: skipped: no lens prescription to derive it from",
             "SKIP front vertex to entrance pupil: skipped: front vertex position not given",
         ]
+        # The two skips are counted apart, not as passes.
+        assert out.splitlines()[-2:] == ["2 checks skipped", "22/28 checks passed"]
         outcomes = px.run_factory_checks("f193_mla2_inf", px.load_fixture("lytro_f51p4"))
         skipped = [o for o in outcomes if o.note]
         assert len(skipped) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import plenax as px
 from plenax.configio import _KEYS, ConfigError
+from plenax.optics import _thick_lens
 
 VALID = """\
 [sensor]
@@ -58,9 +59,9 @@ class TestParseConfig:
             "r1_mm = 1.54715\nr2_mm = -inf\nt_mm = 1.1\nn = 1.5626",
         )
         config = px.parse_config(text)
-        f, gap = px.mla_cardinal_points(1.1, 1.5626, 1.54715, -math.inf)
-        assert config.mla.focal_length_mm == f
-        assert config.mla.principal_gap_mm == gap
+        lens = _thick_lens(1.1, 1.5626, 1.54715, -math.inf)
+        assert config.mla.focal_length_mm == lens.focal_length
+        assert config.mla.principal_gap_mm == lens.principal_gap
 
     def test_finite_focus(self):
         config = px.parse_config(VALID.replace("d_f_mm = inf", "d_f_mm = 3000.0"))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plenax as px
+from plenax.optics import _thick_lens
 
 
 def _fixed_point_image_distance(f, gap, d_f, tol=1e-9, max_iterations=1000):
@@ -90,32 +91,33 @@ class TestSolveImageDistance:
 
 class TestMlaCardinalPoints:
     def test_plano_convex_prescriptions(self):
-        f, gap = px.mla_cardinal_points(1.1, 1.5626, 0.70325, -math.inf)
-        assert f == pytest.approx(1.25, abs=1e-3)
-        assert gap == pytest.approx(0.39604505311660065, abs=1e-12)
-        f2, gap2 = px.mla_cardinal_points(1.1, 1.5626, 1.54715, -math.inf)
-        assert f2 == pytest.approx(2.75, abs=1e-3)
+        lens = _thick_lens(1.1, 1.5626, 0.70325, -math.inf)
+        assert lens.focal_length == pytest.approx(1.25, abs=1e-3)
+        assert lens.principal_gap == pytest.approx(0.39604505311660065, abs=1e-12)
+        lens2 = _thick_lens(1.1, 1.5626, 1.54715, -math.inf)
+        assert lens2.focal_length == pytest.approx(2.75, abs=1e-3)
         # Flat-backed lenslets share the principal separation regardless of
         # front curvature: the front surface carries all the power.
-        assert gap2 == pytest.approx(gap, rel=1e-12)
+        assert lens2.principal_gap == pytest.approx(lens.principal_gap, rel=1e-12)
 
     def test_symmetric_biconvex_has_symmetric_planes(self):
-        f, gap = px.mla_cardinal_points(1.0, 1.5, 2.0, -2.0)
+        lens = _thick_lens(1.0, 1.5, 2.0, -2.0)
+        f = lens.focal_length
         assert f > 0
         # h1 offset from the front equals h2 offset from the back by symmetry,
         # so the principal separation is thickness minus twice that offset.
         p1 = (1.5 - 1.0) / 2.0
         h1 = f * p1 * 1.0 / 1.5
-        assert gap == pytest.approx(1.0 - 2 * h1, rel=1e-12)
+        assert lens.principal_gap == pytest.approx(1.0 - 2 * h1, rel=1e-12)
 
     def test_invalid_prescription_rejected(self):
         with pytest.raises(ValueError):
-            px.mla_cardinal_points(-1.0, 1.5, 1.0, -1.0)
+            _thick_lens(-1.0, 1.5, 1.0, -1.0)
         with pytest.raises(ValueError):
-            px.mla_cardinal_points(1.0, 0.9, 1.0, -1.0)
+            _thick_lens(1.0, 0.9, 1.0, -1.0)
         with pytest.raises(ValueError):
             # Zero net power has no focal length.
-            px.mla_cardinal_points(0.0, 1.5, math.inf, math.inf)
+            _thick_lens(0.0, 1.5, math.inf, math.inf)
 
     @pytest.mark.parametrize("field", range(4))
     def test_nan_prescription_rejected(self, field):
@@ -124,7 +126,7 @@ class TestMlaCardinalPoints:
         prescription = [1.1, 1.5626, 0.70325, -math.inf]
         prescription[field] = math.nan
         with pytest.raises(ValueError, match="NaN"):
-            px.mla_cardinal_points(*prescription)
+            _thick_lens(*prescription)
         with pytest.raises(ValueError, match="NaN"):
             px.MicroLensSpec(1.25, 0.125, 3, 3, *prescription)
 
@@ -167,9 +169,10 @@ class TestSpecs:
     def test_prescription_alone_sets_focal_length_and_gap(self):
         prescription = (1.1, 1.5626, 0.70325, -math.inf)
         mla = px.MicroLensSpec(None, 0.125, 3, 3, *prescription)
-        assert (mla.focal_length_mm, mla.principal_gap_mm) == px.mla_cardinal_points(
-            *prescription
-        )
+        lens = _thick_lens(*prescription)
+        assert mla.lens == lens
+        assert mla.focal_length_mm == lens.focal_length
+        assert mla.principal_gap_mm == lens.principal_gap
 
     def test_principal_gap_is_derived_not_given(self):
         # A given gap would replace the derived one, which the oracle traces.
@@ -186,14 +189,14 @@ class TestSpecs:
             px.MicroLensSpec(None, 0.125, 3, 3, thickness_mm=1.1, radius_front_mm=0.70325)
 
     def test_thin_lenslet_is_all_front_power(self):
-        mla = px.MicroLensSpec(2.5, 0.125, 3, 3)
-        assert mla.power_front_per_mm == 1.0 / 2.5
+        lens = px.MicroLensSpec(2.5, 0.125, 3, 3).lens
+        assert lens.power_front == 1.0 / 2.5
         surfaces = (
-            mla.power_back_per_mm,
-            mla.axial_thickness_mm,
-            mla.reduced_thickness_mm,
-            mla.h1_from_front_mm,
-            mla.h2_from_back_mm,
+            lens.power_back,
+            lens.thickness,
+            lens.reduced_thickness,
+            lens.h1_from_front,
+            lens.h2_from_back,
         )
         assert surfaces == (0.0,) * 5
 

@@ -7,48 +7,38 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import plenax as px
 from plenax import oracle
 from plenax.cli import main
+from plenax.optics import _thick_lens
 from plenax.oracle import (
     _chief_rays,
     _intersect,
     _quantize,
     _texture_sampler,
+    _through_lenslet,
 )
 
 
+def _thin(focal_length_mm):
+    return px.MicroLensSpec(focal_length_mm, pitch_mm=0.125, count_h=3, count_v=3).lens
+
+
 class TestTraceElements:
-    def test_translation_moves_height_only(self):
-        out = px.trace(px.TracedRay(height_mm=1.0, slope=0.25), [px.Translation(4.0)])
-        assert out.height_mm == 2.0
-        assert out.slope == 0.25
-
     def test_refraction_bends_about_surface_centre(self):
-        out = px.trace(px.TracedRay(height_mm=2.0, slope=0.0), [px.Refraction(0.5)])
-        assert out.height_mm == 2.0
-        assert out.slope == -1.0
-        shifted = px.trace(
-            px.TracedRay(height_mm=2.0, slope=0.0),
-            [px.Refraction(0.5, center_mm=2.0)],
-        )
-        assert shifted.slope == 0.0
-
-    def test_trace_composes_in_order(self):
-        elements = [px.Translation(2.0), px.Refraction(1.0), px.Translation(1.0)]
-        out = px.trace(px.TracedRay(height_mm=0.0, slope=0.5), elements)
-        # Height 1.0 at the surface, slope becomes 0.5 - 1.0, then drifts to
-        # 1.0 - 0.5 over the final unit gap.
-        assert out.height_mm == pytest.approx(0.5)
-        assert out.slope == -0.5
+        h, u = _through_lenslet(2.0, 0.0, _thin(2.0))
+        assert h == 2.0
+        assert u == -1.0
+        _, shifted = _through_lenslet(2.0, 0.0, _thin(2.0), center_mm=2.0)
+        assert shifted == 0.0
 
     def test_arrays_broadcast(self):
         heights = np.array([0.0, 1.0, 2.0])
-        out = px.trace(px.TracedRay(height_mm=heights, slope=0.0), [px.Refraction(0.5)])
-        assert np.allclose(out.slope, [0.0, -0.5, -1.0])
+        _, u = _through_lenslet(heights, 0.0, _thin(2.0))
+        assert np.allclose(u, [0.0, -0.5, -1.0])
 
 
 class TestLensletElements:
@@ -63,26 +53,20 @@ class TestLensletElements:
             radius_front_mm=0.70325,
             radius_back_mm=-math.inf,
         )
-        f, gap = px.mla_cardinal_points(1.1, 1.5626, 0.70325, -math.inf)
-        ray = px.trace(px.TracedRay(height_mm=0.01, slope=0.0), px.mla_surface_elements(mla))
-        crossing = -ray.height_mm / ray.slope
+        h, u = _through_lenslet(0.01, 0.0, mla.lens)
+        crossing = -h / u
         # A parallel ray must cross the axis one focal length behind the
         # image-side principal plane; for a flat back that plane sits t/n
         # inside the glass.
-        assert crossing + 1.1 / 1.5626 == pytest.approx(f, rel=1e-12)
+        assert crossing + 1.1 / 1.5626 == pytest.approx(mla.lens.focal_length, rel=1e-12)
 
     def test_thin_fallback_matches_focal_length(self):
-        mla = px.MicroLensSpec(focal_length_mm=2.75, pitch_mm=0.125, count_h=3, count_v=3)
-        ray = px.trace(px.TracedRay(height_mm=0.01, slope=0.0), px.mla_surface_elements(mla))
-        assert -ray.height_mm / ray.slope == pytest.approx(2.75, rel=1e-12)
+        h, u = _through_lenslet(0.01, 0.0, _thin(2.75))
+        assert -h / u == pytest.approx(2.75, rel=1e-12)
 
     def test_decentred_lenslet_leaves_central_ray_straight(self):
-        mla = px.MicroLensSpec(focal_length_mm=2.75, pitch_mm=0.125, count_h=3, count_v=3)
-        out = px.trace(
-            px.TracedRay(height_mm=0.5, slope=0.0),
-            px.mla_surface_elements(mla, center_mm=0.5),
-        )
-        assert out.slope == 0.0
+        _, u = _through_lenslet(0.5, 0.0, _thin(2.75), center_mm=0.5)
+        assert u == 0.0
 
 
 def _prescribed_fixtures():
@@ -100,7 +84,11 @@ def curved_back_configs(draw):
         "r1_mm": draw(st.floats(0.5, 4.0)),
         "r2_mm": draw(st.floats(1.0, 20.0)) * draw(st.sampled_from([-1.0, 1.0])),
     }
-    f, _ = px.mla_cardinal_points(*prescription.values())
+    try:
+        f = _thick_lens(*prescription.values()).focal_length
+    except ValueError:
+        # Zero net power, e.g. t = n = r1 with r2 = 1: no focal length.
+        reject()
     assume(0.5 <= f <= 6.0)
     text = re.sub(r"^f_s_mm = .*\n", "", text, flags=re.M)
     for key, value in prescription.items():
@@ -117,13 +105,23 @@ class TestCurvedBackLenslets:
         config = px.parse_config(text)
         mla = config.mla
         assert math.isfinite(mla.radius_back_mm) and "f_s_mm" not in text
-        ray = px.trace(px.TracedRay(height_mm=0.01, slope=0.0), px.mla_surface_elements(mla))
+        h, u = _through_lenslet(0.01, 0.0, mla.lens)
         # A parallel ray crosses the axis one focal length behind the
         # image-side principal plane, which sits h2 behind the back vertex.
-        crossing = -ray.height_mm / ray.slope
-        assert crossing - mla.h2_from_back_mm == pytest.approx(mla.focal_length_mm, rel=1e-12)
+        crossing = -h / u
+        assert crossing - mla.lens.h2_from_back == pytest.approx(mla.focal_length_mm, rel=1e-12)
         outcomes = px.run_consistency_checks(config)
         assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
+
+    @settings(max_examples=40, deadline=None)
+    @given(curved_back_configs())
+    def test_trace_toward_scene_focuses_in_front(self, text):
+        lens = px.parse_config(text).mla.lens
+        h, u = _through_lenslet(0.01, 0.0, lens, toward_scene=True)
+        # Entering from the sensor side, a parallel ray leaves the front
+        # vertex and crosses the axis one focal length in front of the
+        # object-side principal plane, which sits h1 behind the front vertex.
+        assert -h / u + lens.h1_from_front == pytest.approx(lens.focal_length, rel=1e-12)
 
 
 def _loop_simulate_virtual_cameras(config, state):
