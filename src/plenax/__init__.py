@@ -17,7 +17,6 @@ from .disparity import (
     MatchParams,
     block_match,
     read_map_csv,
-    subpixel_refine,
     to_graymap,
     write_map_csv,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "simulate_virtual_cameras",
     "solve_image_distance",
     "stereo_depth",
-    "subpixel_refine",
     "to_graymap",
     "triangulate",
     "view_filename",

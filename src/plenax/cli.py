@@ -216,9 +216,10 @@ def cmd_verify(args) -> int:
         )
     else:
         names = args.fixtures or sorted(presets.REFERENCE_VALUES)
-        for name in names:
+        # An unknown name fails before any fixture's report is printed.
+        fixtures = [(name, presets.load_fixture(name)) for name in names]
+        for name, config in fixtures:
             print(f"== {name} ==")
-            config = presets.load_fixture(name)
             outcomes = presets.run_factory_checks(name, config)
             outcomes += presets.run_consistency_checks(config)
             n, f, k = _report(outcomes, args.verbose)
@@ -305,7 +306,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 

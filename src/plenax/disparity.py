@@ -59,7 +59,7 @@ class DisparityMap:
             raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
 
 
-def subpixel_refine(
+def _subpixel_refine(
     cost_minus: float | np.ndarray,
     cost_centre: float | np.ndarray,
     cost_plus: float | np.ndarray,
@@ -343,7 +343,7 @@ def block_match(
         _, _, best_cost, cost_minus, cost_plus = costs
         np.add(
             valid,
-            subpixel_refine(cost_minus, best_cost, cost_plus),
+            _subpixel_refine(cost_minus, best_cost, cost_plus),
             out=valid,
             where=np.abs(best_shift) < maxd,
         )
@@ -370,10 +370,14 @@ def write_map_csv(path: str | Path, values: np.ndarray, header: dict | None = No
 
 
 def read_map_csv(path: str | Path) -> np.ndarray:
-    """Read a grid written by write_map_csv (header lines ignored).
+    """Read a grid written by write_map_csv.
 
     A cell that is not a number raises ValueError naming the path and line,
-    and so does a byte that is not ASCII.
+    and so does a byte that is not ASCII. When the header declares the
+    grid's rows and cols, a body of another shape (a truncated file, say)
+    raises ValueError naming the path and both shapes, and an empty body
+    comes back at the declared zero-size shape. Other header lines are
+    ignored.
     """
     try:
         text = Path(path).read_text(encoding="ascii")
@@ -383,20 +387,36 @@ def read_map_csv(path: str | Path) -> np.ndarray:
         byte = exc.object[exc.start]
         raise ValueError(f"{path}:{number}: byte {byte:#04x} is not ASCII") from None
     rows = []
+    declared = {}
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, sep, value = (part.strip() for part in line[1:].partition(":"))
+            if sep and key in ("rows", "cols"):
+                if not value.isdigit():
+                    raise ValueError(f"{path}:{number}: {key} must be a count, got {value!r}")
+                declared[key] = int(value)
             continue
         try:
             rows.append([float(cell) for cell in line.split(",")])
         except ValueError as exc:
             raise ValueError(f"{path}:{number}: {exc}") from None
-    if not rows:
-        return np.zeros((0, 0))
     widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    if len(widths) > 1:
         raise ValueError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return np.array(rows, dtype=np.float64)
+    grid = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
+    if declared.keys() == {"rows", "cols"}:
+        shape = (declared["rows"], declared["cols"])
+        if not rows and 0 in shape:
+            return np.zeros(shape)
+        if grid.shape != shape:
+            raise ValueError(
+                f"{path}: header declares a {shape[0]}x{shape[1]} map, "
+                f"the body holds {grid.shape[0]}x{grid.shape[1]}"
+            )
+    return grid
 
 
 def to_graymap(values: np.ndarray) -> np.ndarray:

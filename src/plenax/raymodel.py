@@ -49,41 +49,38 @@ class ChiefRay:
 
 @dataclass(frozen=True)
 class StereoRig:
-    """Classical two-camera rig with optionally converging axes."""
+    """Classical two-camera rig with optionally converging axes.
+
+    Disparities on it are measured on an image plane 1 mm behind the
+    pinholes, so a rig needs no image distance of its own.
+    """
 
     baseline_mm: float
-    image_distance_mm: float
     tilt_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.baseline_mm > 0:
             raise ValueError(f"baseline_mm must be > 0, got {self.baseline_mm}")
-        if not self.image_distance_mm > 0:
-            raise ValueError(
-                f"image_distance_mm must be > 0, got {self.image_distance_mm}"
-            )
 
 
 def stereo_depth(rig: StereoRig, delta_x_mm: float | np.ndarray) -> float | np.ndarray:
     """Depth of a point from its disparity on a classical stereo rig.
 
     Args:
-        rig: Baseline, image distance, and relative inward tilt of the two
-            cameras.
-        delta_x_mm: Disparity as a physical displacement on the image plane,
-            a scalar or an array.
+        rig: Baseline and relative inward tilt of the two cameras.
+        delta_x_mm: Disparity as a displacement on an image plane 1 mm
+            behind the pinholes, a scalar or an array.
 
     Returns:
-        Z = b * B / (dx + b * tan(phi)) elementwise: inf where the
-        denominator vanishes (the rays run parallel), NaN where dx is not
-        finite. A scalar dx gives a float, an array an array of its shape.
+        Z = B / (dx + tan(phi)) elementwise: inf where the denominator
+        vanishes (the rays run parallel), an infinity of Z's sign where Z
+        overflows, NaN where dx is not finite. A scalar dx gives a float,
+        an array an array of its shape.
     """
     dx = np.asarray(delta_x_mm, dtype=np.float64)
-    denominator = dx + rig.image_distance_mm * math.tan(rig.tilt_rad)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = np.where(
-            denominator != 0, rig.image_distance_mm * rig.baseline_mm / denominator, np.inf
-        )
+    denominator = dx + math.tan(rig.tilt_rad)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        depth = np.where(denominator != 0, rig.baseline_mm / denominator, np.inf)
     depth = np.where(np.isfinite(dx), depth, np.nan)
     return float(depth) if depth.ndim == 0 else depth
 
@@ -159,27 +156,20 @@ class VirtualCameraArray:
             entrance pupil plane, ordered by i.
         tilt_angles_rad: Phi_i, each camera's optical axis angle. Positive
             tilt turns the axis of a positive-i camera toward the main axis.
-        entrance_pupil_to_h1_mm: Signed z of the pupil plane, as returned by
-            entrance_pupil_distance.
-        virtual_image_distance_mm: b_n, the arbitrary distance of the
-            virtual image plane behind the pupil. Every triangulated result
-            is invariant to it.
         virtual_pixel_pitch_mm: p_n, one sub-aperture pixel projected onto
-            the virtual image plane at distance b_n.
+            a virtual image plane 1 mm behind the pupil. The plane's distance
+            is arbitrary: p_n scales with it, so no triangulated result
+            depends on it.
     """
 
     positions_mm: tuple[float, ...]
     tilt_angles_rad: tuple[float, ...]
-    entrance_pupil_to_h1_mm: float
-    virtual_image_distance_mm: float
     virtual_pixel_pitch_mm: float
 
     def __post_init__(self) -> None:
         n = len(self.positions_mm)
         if n != len(self.tilt_angles_rad) or n < 3 or n % 2 == 0:
             raise ValueError("positions and tilts must share an odd length >= 3")
-        if not self.virtual_image_distance_mm > 0:
-            raise ValueError("virtual_image_distance_mm must be > 0")
         steps = [
             self.positions_mm[k + 1] - self.positions_mm[k] for k in range(n - 1)
         ]
@@ -212,8 +202,8 @@ class VirtualCameraArray:
 
         The pair is viewpoints i and i + gap with i = -floor(gap / 2): valid
         for every gap in [1, 2c], and the adjacent pair (0, 1) at gap 1. The
-        rig carries the pair's baseline B = |A_(i+gap) - A_i|, the virtual
-        image distance b_n and the relative tilt phi = |Phi_(i+gap) - Phi_i|.
+        rig carries the pair's baseline B = |A_(i+gap) - A_i| and the
+        relative tilt phi = |Phi_(i+gap) - Phi_i|.
         The two axes turn toward each other whenever the camera focuses
         closer than infinity, so phi is a magnitude, zero exactly at
         infinity focus.
@@ -224,31 +214,18 @@ class VirtualCameraArray:
         i = -(gap // 2)
         return StereoRig(
             baseline_mm=abs(self.position(i + gap) - self.position(i)),
-            image_distance_mm=self.virtual_image_distance_mm,
             tilt_rad=abs(self.tilt(i + gap) - self.tilt(i)),
         )
 
 
-def build_virtual_camera_array(
-    state: FocusState, config: CameraConfig, b_n_mm: float = 1.0
-) -> VirtualCameraArray:
+def build_virtual_camera_array(state: FocusState, config: CameraConfig) -> VirtualCameraArray:
     """Locate every viewpoint's pinhole and axis on the entrance pupil.
 
     For each offset i the ray through the central micro lens is evaluated at
     the pupil plane, giving the pinhole position A_i; its slope gives the
-    axis tilt. A virtual image plane at b_n behind the pupil carries the
+    axis tilt. A virtual image plane 1 mm behind the pupil carries the
     projected pixel pitch p_n used to convert disparities to millimetres.
-
-    Args:
-        state: Solved focus quantities for config.
-        config: Camera description.
-        b_n_mm: Virtual image distance, any positive value.
-
-    Returns:
-        The assembled VirtualCameraArray.
     """
-    if not b_n_mm > 0:
-        raise ValueError(f"b_n_mm must be > 0, got {b_n_mm}")
     z_pupil = entrance_pupil_distance(state, config)
     o = _central_index(config)
     c = config.sensor.half_span
@@ -264,15 +241,13 @@ def build_virtual_camera_array(
     # central lens to its neighbour back onto the virtual image plane.
     ray_o = object_ray(o, 0, state, config)
     ray_o1 = object_ray(o + 1, 0, state, config)
-    n_o = -ray_o.slope * b_n_mm + positions[c]
-    n_o1 = -ray_o1.slope * b_n_mm + positions[c]
+    n_o = -ray_o.slope + positions[c]
+    n_o1 = -ray_o1.slope + positions[c]
     pitch_n = abs(n_o1 - n_o)
 
     return VirtualCameraArray(
         positions_mm=tuple(positions),
         tilt_angles_rad=tuple(tilts),
-        entrance_pupil_to_h1_mm=z_pupil,
-        virtual_image_distance_mm=b_n_mm,
         virtual_pixel_pitch_mm=pitch_n,
     )
 
@@ -303,10 +278,10 @@ def triangulate(array: VirtualCameraArray, query: TriangulationQuery) -> float:
     Uses the centred viewpoint pair spanning query.gap (see
     VirtualCameraArray.pair). Distances follow
 
-        Z = b_n * B / (dx * p_n + b_n * tan(phi))
+        Z = B / (dx * p_n + tan(phi))
 
-    with the pair's baseline B and relative tilt phi. The result does not
-    depend on b_n because p_n scales with it.
+    with the pair's baseline B, relative tilt phi and the virtual pixel
+    pitch p_n.
 
     Returns:
         Z in mm; math.inf when the denominator vanishes (rays parallel); a
@@ -329,8 +304,7 @@ def disparity_for_distance(
     if z_mm == 0:
         raise ValueError("z_mm must be nonzero")
     rig = array.pair(gap)
-    b_n = rig.image_distance_mm
-    dx_mm = b_n * rig.baseline_mm / z_mm - b_n * math.tan(rig.tilt_rad)
+    dx_mm = rig.baseline_mm / z_mm - math.tan(rig.tilt_rad)
     return dx_mm / array.virtual_pixel_pitch_mm
 
 
@@ -345,9 +319,8 @@ def measure_baseline(
     if not z_mm > 0:
         raise ValueError(f"z_mm must be > 0, got {z_mm}")
     rig = array.pair(query.gap)
-    b_n = rig.image_distance_mm
     dx_mm = query.disparity_px * array.virtual_pixel_pitch_mm
-    return z_mm * (dx_mm + b_n * math.tan(rig.tilt_rad)) / b_n
+    return z_mm * (dx_mm + math.tan(rig.tilt_rad))
 
 
 def measure_tilt(
@@ -358,10 +331,12 @@ def measure_tilt(
 ) -> float:
     """Relative tilt implied by a distance, disparity, and known baseline.
 
-    The second inversion of triangulate, solved for the tilt term.
+    The second inversion of triangulate, solved for the tilt term. As an
+    arctangent it lies in (-pi/2, pi/2): a relative tilt past pi/2 comes
+    back a half turn lower.
     """
     if not z_mm > 0:
         raise ValueError(f"z_mm must be > 0, got {z_mm}")
-    rig = array.pair(query.gap)
+    array.pair(query.gap)  # rejects a gap outside the array's span
     dx_mm = query.disparity_px * array.virtual_pixel_pitch_mm
-    return math.atan(baseline_mm / z_mm - dx_mm / rig.image_distance_mm)
+    return math.atan(baseline_mm / z_mm - dx_mm)

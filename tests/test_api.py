@@ -49,7 +49,6 @@ PUBLIC = [
     "simulate_virtual_cameras",
     "solve_image_distance",
     "stereo_depth",
-    "subpixel_refine",
     "to_graymap",
     "triangulate",
     "view_filename",

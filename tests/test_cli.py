@@ -414,6 +414,18 @@ class TestDepthCommand:
         assert "# gap: 2" in text
         assert "baseline_mm" in text
 
+    def test_truncated_map_rejected_before_writing(self, capsys, tmp_path, f197_cfg_path):
+        # It used to exit 0 with a depth map of the rows that were left.
+        disp = tmp_path / "d.csv"
+        px.write_map_csv(disp, np.ones((4, 3)))
+        lines = disp.read_text().splitlines(keepends=True)
+        disp.write_text("".join(lines[:-2]))
+        out = tmp_path / "z.csv"
+        code, _, err = run(capsys, "depth", f197_cfg_path, str(disp), "--gap", "1", "--out", str(out))
+        assert code == 1
+        assert err == f"error: {disp}: header declares a 4x3 map, the body holds 2x3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("gap", ["0", "-1", "13"])
     def test_gap_outside_span_rejected_before_writing(self, capsys, tmp_path, f197_cfg_path, gap):
         # "--gap 0" used to exit 0 with a zero baseline and zero depths.
@@ -454,6 +466,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "not_a_rig")
         assert code == 1
         assert "error:" in err
+
+    def test_unknown_fixture_fails_before_any_report(self, capsys):
+        code, out, err = run(capsys, "verify", "f90_mla2_3m", "nosuch")
+        assert code == 1
+        assert out == ""
+        known = ", ".join(px.fixture_names())
+        assert err == f"error: no fixture 'nosuch' (shipped: {known})\n"
+
+    def test_unknown_reference_message_is_unquoted(self, capsys, f197_cfg_path):
+        code, out, err = run(capsys, "verify", "--config", f197_cfg_path, "--reference", "nosuch")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no reference values for 'nosuch' (known: f193_mla1_1p5m,")
+        assert err.endswith(")\n")
 
     def test_perturbed_focal_length_fails(self, capsys, tmp_path):
         text = px.fixture_path("f193_mla2_inf").read_text()

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import plenax as px
 from plenax import disparity
+from plenax.disparity import _subpixel_refine
 
 from conftest import match_views, rig
 
@@ -55,7 +56,7 @@ def brute_force_match(left, right, params):
                     best, best_cost = d, costs[d]
             value = float(best)
             if params.subpixel and abs(best) < maxd:
-                value += px.subpixel_refine(costs[best - 1], costs[best], costs[best + 1])
+                value += _subpixel_refine(costs[best - 1], costs[best], costs[best + 1])
             out[y, x] = value
     return out
 
@@ -188,19 +189,19 @@ class TestMatchParams:
 
 class TestSubpixelRefine:
     def test_symmetric_costs_centre(self):
-        assert px.subpixel_refine(5.0, 1.0, 5.0) == 0.0
+        assert _subpixel_refine(5.0, 1.0, 5.0) == 0.0
 
     def test_asymmetric_costs_shift_toward_cheaper_side(self):
-        assert px.subpixel_refine(4.0, 1.0, 2.0) == pytest.approx(0.25)
-        assert px.subpixel_refine(2.0, 1.0, 4.0) == pytest.approx(-0.25)
+        assert _subpixel_refine(4.0, 1.0, 2.0) == pytest.approx(0.25)
+        assert _subpixel_refine(2.0, 1.0, 4.0) == pytest.approx(-0.25)
 
     def test_flat_or_inverted_parabola_stays_put(self):
-        assert px.subpixel_refine(1.0, 1.0, 1.0) == 0.0
-        assert px.subpixel_refine(1.0, 5.0, 1.0) == 0.0
+        assert _subpixel_refine(1.0, 1.0, 1.0) == 0.0
+        assert _subpixel_refine(1.0, 5.0, 1.0) == 0.0
 
     def test_offset_clamped_inside_half_step(self):
-        assert px.subpixel_refine(1.0, 0.0, 0.0) == pytest.approx(0.499)
-        assert px.subpixel_refine(0.0, 0.0, 1.0) == pytest.approx(-0.499)
+        assert _subpixel_refine(1.0, 0.0, 0.0) == pytest.approx(0.499)
+        assert _subpixel_refine(0.0, 0.0, 1.0) == pytest.approx(-0.499)
 
 
 class TestSadCost:
@@ -577,6 +578,28 @@ class TestMapIo:
         back = px.read_map_csv(path)
         assert back.shape == values.shape
         assert np.allclose(back, values, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_zero_size_map_keeps_its_declared_shape(self, tmp_path, shape):
+        path = tmp_path / "map.csv"
+        px.write_map_csv(path, np.zeros(shape))
+        assert px.read_map_csv(path).shape == shape
+
+    def test_body_must_match_declared_shape(self, tmp_path):
+        path = tmp_path / "map.csv"
+        px.write_map_csv(path, np.ones((2, 3)))
+        text = path.read_text()
+        path.write_text(text + "1.0,1.0,1.0\n")
+        with pytest.raises(ValueError, match=r"declares a 2x3 map, the body holds 3x3"):
+            px.read_map_csv(path)
+        path.write_text(text.replace("# cols: 3", "# cols: x"))
+        with pytest.raises(ValueError, match=r"map\.csv:2: cols must be a count, got 'x'"):
+            px.read_map_csv(path)
+
+    def test_map_without_shape_lines_reads_as_written(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("# gap: 1\n1.0,2.0\n3.0,4.0\n")
+        assert px.read_map_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_byte_stable(self, tmp_path):
         values = np.linspace(-2, 2, 12).reshape(3, 4)

@@ -275,6 +275,36 @@ class TestSimulateDistance:
             px.simulate_distance(configs["f197_mla2_inf"], 13, 1.0)
 
 
+class TestGeneratedRigTriangulation:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_rigs(), st.floats(-5.0, 5.0))
+    def test_gap_one_distance_matches_trace(self, config, dx):
+        # Exact at gap 1, where one of the pair's axes is the main axis.
+        state = px.derive_focus_state(config)
+        array = px.build_virtual_camera_array(state, config)
+        z = px.triangulate(array, px.TriangulationQuery(1, dx))
+        # Past 1e5 baselines the rays are so near parallel that rounding in
+        # either route, not the model, sets the difference.
+        assume(abs(z) <= 1e5 * array.pair(1).baseline_mm)
+        traced = px.simulate_distance(config, 1, dx, state)
+        assert abs(z - traced) <= 1e-9 * max(1.0, abs(z), abs(traced)), (z, traced)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_rigs(), st.floats(10.0, 1e5), st.data())
+    def test_inverse_relations_round_trip(self, config, z, data):
+        array = px.build_virtual_camera_array(px.derive_focus_state(config), config)
+        gap = data.draw(st.integers(1, 2 * array.half_span), label="gap")
+        rig = array.pair(gap)
+        query = px.TriangulationQuery(gap, px.disparity_for_distance(array, gap, z))
+        assert px.triangulate(array, query) == pytest.approx(z, rel=1e-9)
+        baseline = px.measure_baseline(query, z, array)
+        assert baseline == pytest.approx(rig.baseline_mm, rel=1e-9)
+        # measure_tilt is an arctangent, so it gives the tilt modulo a half
+        # turn: generated rigs reach tilts past pi/2 at wide gaps.
+        phi = px.measure_tilt(query, z, baseline, array)
+        assert abs(math.remainder(phi - rig.tilt_rad, math.pi)) <= 1e-9, (phi, rig.tilt_rad)
+
+
 _TOKEN = st.text(string.ascii_letters + string.digits + "._-+/", min_size=1, max_size=8)
 
 
