@@ -49,6 +49,14 @@ def _finite_float_list(text: str) -> list[float]:
     return values
 
 
+def _maxval(text: str) -> int:
+    """argparse type: a graymap maxval, under lightfield's rule 0 < maxval < 65536."""
+    value = int(text)
+    if not 0 < value < 65536:
+        raise argparse.ArgumentTypeError(f"maxval {value} outside (0, 65536)")
+    return value
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -163,8 +171,6 @@ def cmd_depth(args) -> int:
 
 
 def cmd_render(args) -> int:
-    # Fail before the scene is traced, under the name of the file not written.
-    lightfield._check_maxval(args.out, args.maxval)
     config = load_config(args.config)
     scene_path = Path(args.scene)
     try:
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("scene", help="scene description file")
     p.add_argument("out", help="output graymap path")
-    p.add_argument("--maxval", type=int, default=65535)
+    p.add_argument("--maxval", type=_maxval, default=65535)
 
     p = sub.add_parser("verify", help="check against factory reference values")
     p.add_argument("fixtures", nargs="*",

@@ -67,7 +67,6 @@ _KEYS = {
     },
     "main_lens": {
         "f_u_mm": ("focal_length_mm", _FINITE, True),
-        "b_u_inf_mm": ("b_u_inf_mm", _FINITE, False),
         "exit_pupil_inf_mm": ("exit_pupil_inf_mm", _FINITE, True),
         "h1h2_mm": ("principal_gap_mm", _FINITE, True),
         "v1h1_mm": ("front_vertex_to_h1_mm", _FINITE, False),

@@ -127,8 +127,6 @@ class MainLensSpec:
             infinity.
         principal_gap_mm: Signed separation of the object- and image-side
             principal planes. Negative when they are crossed.
-        b_u_inf_mm: Image distance at infinity focus. Defaults to the focal
-            length, where the infinity image forms.
         front_vertex_to_h1_mm: Optional distance from the lens's front vertex
             to the object-side principal plane. Needed only to express pupil
             positions relative to the physical front of the lens.
@@ -137,7 +135,6 @@ class MainLensSpec:
     focal_length_mm: float
     exit_pupil_inf_mm: float
     principal_gap_mm: float
-    b_u_inf_mm: float | None = None
     front_vertex_to_h1_mm: float | None = None
 
     def __post_init__(self) -> None:
@@ -147,13 +144,6 @@ class MainLensSpec:
             raise ValueError(
                 f"exit_pupil_inf_mm must be > 0, got {self.exit_pupil_inf_mm}"
             )
-        if self.b_u_inf_mm is not None and not self.b_u_inf_mm > 0:
-            raise ValueError(f"b_u_inf_mm must be > 0, got {self.b_u_inf_mm}")
-
-    @property
-    def image_distance_inf_mm(self) -> float:
-        """Image distance at infinity focus (b_u_inf_mm or the focal length)."""
-        return self.b_u_inf_mm if self.b_u_inf_mm is not None else self.focal_length_mm
 
 
 @dataclass(frozen=True)
@@ -325,9 +315,9 @@ def derive_focus_state(config: CameraConfig) -> FocusState:
         lens.focal_length_mm, lens.principal_gap_mm, config.focus.d_f_mm
     )
     # The exit pupil rides with the image distance: b_u - d_ap is a
-    # lens-internal constant, fixed by the infinity-focus pair. MainLensSpec
-    # has checked both of those, and b_u is positive.
-    d_ap = b_u - (lens.image_distance_inf_mm - lens.exit_pupil_inf_mm)
+    # lens-internal constant, fixed at infinity focus, where the image forms
+    # at f_u and the pupil sits at exit_pupil_inf_mm.
+    d_ap = b_u - (lens.focal_length_mm - lens.exit_pupil_inf_mm)
     # The object distance closes the span, inf at infinity focus.
     a_u = config.focus.d_f_mm - b_u - lens.principal_gap_mm
     return FocusState(b_u_mm=b_u, d_ap_mm=d_ap, a_u_mm=a_u)

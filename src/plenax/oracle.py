@@ -9,6 +9,9 @@ triangulated distances are recovered by brute-force intersection of the
 traced object-space lines. Agreement between the two routes is a regression
 check on both.
 
+Every entry point takes only the camera, and _geometry solves its focus, so
+no trace can pair one camera with another camera's focus state.
+
 The trace state is (height, slope) with slopes stored as reduced angles, so a
 translation inside glass advances by thickness / index and a surface applies
 slope -= (height - center) * power. In air the reduced angle equals the
@@ -23,6 +26,7 @@ truth with a known disparity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +39,7 @@ from .lightfield import (
     _check_maxval,
     read_pgm,
 )
-from .optics import INFINITY, CameraConfig, FocusState, derive_focus_state
+from .optics import INFINITY, CameraConfig, derive_focus_state
 
 
 def _through_lenslet(h, u, lens, center_mm=0.0, toward_scene=False):
@@ -59,16 +63,20 @@ def _through_lenslet(h, u, lens, center_mm=0.0, toward_scene=False):
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Axial positions (z from the sensor, increasing toward the scene)."""
+    """Axial positions (z from the sensor, increasing toward the scene) and
+    the exit pupil distance d_ap, as the camera's focus fixes them."""
 
     exit_vertex_z_mm: float  # last lenslet surface on the scene side
     lens_plane_z_mm: float  # aim target: object-side principal plane column
     pupil_z_mm: float
     main_lens_z_mm: float
     sensor_gap_mm: float  # sensor to first lenslet surface
+    d_ap_mm: float  # lenslet principal plane to exit pupil
 
 
-def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
+def _geometry(config: CameraConfig) -> _Geometry:
+    """The camera's axial layout at its focus; the oracle's one focus solve."""
+    state = derive_focus_state(config)
     mla = config.mla
     # The sensor sits one focal length behind the image-side principal
     # plane; the vertices and the object-side plane follow from it.
@@ -81,10 +89,11 @@ def _geometry(state: FocusState, config: CameraConfig) -> _Geometry:
         pupil_z_mm=lens_plane + state.d_ap_mm,
         main_lens_z_mm=lens_plane + state.b_u_mm,
         sensor_gap_mm=sensor_gap,
+        d_ap_mm=state.d_ap_mm,
     )
 
 
-def _micro_image_centers(s, state: FocusState, config: CameraConfig, geom: _Geometry):
+def _micro_image_centers(s, config: CameraConfig, geom: _Geometry):
     """Sensor landing points of the pupil-center rays, one per lenslet.
 
     Traced from the pupil center back through the lenslet surfaces; the
@@ -92,13 +101,13 @@ def _micro_image_centers(s, state: FocusState, config: CameraConfig, geom: _Geom
     counterpart of a pinhole at the lenslet center. Heights are measured
     from the axis of the lenslet at s, so the pupil center sits at -s.
     """
-    u = s / state.d_ap_mm
+    u = s / geom.d_ap_mm
     h = -s + u * (geom.pupil_z_mm - geom.exit_vertex_z_mm)
     h, u = _through_lenslet(h, u, config.mla.lens)
     return h + u * geom.sensor_gap_mm
 
 
-def _chief_rays(i, j, state: FocusState, config: CameraConfig):
+def _chief_rays(i, j, config: CameraConfig):
     """Object-space chief rays for micro image samples (i, j).
 
     i and j broadcast. Returns (slope, height at the main lens object-side
@@ -117,8 +126,8 @@ def _chief_rays(i, j, state: FocusState, config: CameraConfig):
     offset = (config.mla.count_h - 1) / 2.0
     s = (np.asarray(j, dtype=float) - offset) * config.mla.pitch_mm
     i, s = np.broadcast_arrays(np.asarray(i, dtype=float), s)
-    geom = _geometry(state, config)
-    u = _micro_image_centers(s, state, config, geom) + i * config.sensor.pixel_pitch_mm
+    geom = _geometry(config)
+    u = _micro_image_centers(s, config, geom) + i * config.sensor.pixel_pitch_mm
 
     reach_back = geom.lens_plane_z_mm - geom.exit_vertex_z_mm
 
@@ -166,9 +175,7 @@ class VirtualCameraSimulation:
     intersection_spread_mm: float
 
 
-def simulate_virtual_cameras(
-    config: CameraConfig, state: FocusState | None = None
-) -> VirtualCameraSimulation:
+def simulate_virtual_cameras(config: CameraConfig) -> VirtualCameraSimulation:
     """Locate every viewpoint by intersecting its rays pairwise.
 
     The ray through lenslet j is crossed with the ray through lenslet
@@ -177,14 +184,12 @@ def simulate_virtual_cameras(
     their small slope difference; half the array apart keeps the crossings
     well conditioned and still covers every lenslet.
     """
-    if state is None:
-        state = derive_focus_state(config)
     c = config.sensor.half_span
     count = config.mla.count_h
     apart = count // 2
 
     # Row c + i holds viewpoint i's rays through every lenslet.
-    q, u = _chief_rays(np.arange(-c, c + 1)[:, None], np.arange(count)[None, :], state, config)
+    q, u = _chief_rays(np.arange(-c, c + 1)[:, None], np.arange(count)[None, :], config)
     z, x = _intersect(q[:, :-apart], u[:, :-apart], q[:, apart:], u[:, apart:])
     x_mean = x.mean(axis=1)
     z_mean = z.ravel().mean()
@@ -197,36 +202,30 @@ def simulate_virtual_cameras(
     )
 
 
-def simulate_distance(
-    config: CameraConfig,
-    gap: int,
-    delta_x_px: float,
-    state: FocusState | None = None,
-) -> float:
+def simulate_distance(config: CameraConfig, gap: int, delta_x_px: float) -> float:
     """Distance at which two viewpoints see one point delta_x pixels apart.
 
     Intersects the chief ray of viewpoint i through the central lenslet with
     the ray of viewpoint i + gap through the lenslet delta_x further down,
-    for the centred pair i = -(gap // 2). The intersection is referred to
+    for the centred pair i = -(gap // 2), where gap is an integer whose
+    pair lies inside the micro image span. The intersection is referred to
     the traced entrance pupil. Rays whose slopes agree to within float
     resolution are parallel and the point is at infinity.
     """
-    if gap < 1:
-        raise ValueError(f"gap must be >= 1, got {gap}")
+    if not isinstance(gap, numbers.Integral) or gap < 1:
+        raise ValueError(f"gap must be an integer >= 1, got {gap!r}")
     if not math.isfinite(delta_x_px):
         raise ValueError(f"delta_x must be finite, got {delta_x_px}")
-    if state is None:
-        state = derive_focus_state(config)
     i_low = -(gap // 2)
     if abs(i_low) > config.sensor.half_span or abs(i_low + gap) > config.sensor.half_span:
         raise ValueError(f"gap {gap} exceeds the micro image span")
     centre = (config.mla.count_h - 1) / 2.0
-    q1, u1 = _chief_rays(i_low, centre, state, config)
-    q2, u2 = _chief_rays(i_low + gap, centre - delta_x_px, state, config)
+    q1, u1 = _chief_rays(i_low, centre, config)
+    q2, u2 = _chief_rays(i_low + gap, centre - delta_x_px, config)
     if abs(q1 - q2) <= 1e-12 * max(1.0, abs(q1), abs(q2)):
         return INFINITY
     z = (u2 - u1) / (q1 - q2)
-    pupil = simulate_virtual_cameras(config, state).entrance_pupil_to_h1_mm
+    pupil = simulate_virtual_cameras(config).entrance_pupil_to_h1_mm
     return float(z - pupil)
 
 
@@ -354,7 +353,6 @@ def _texture_sampler(plane: ScenePlane, base_dir: Path | None):
 def render_synthetic_scene(
     config: CameraConfig,
     planes,
-    state: FocusState | None = None,
     base_dir: str | Path | None = None,
     background: float = 0.0,
     maxval: int = 65535,
@@ -371,7 +369,7 @@ def render_synthetic_scene(
     (h * m + c + g, j * m + c + i). The raw is filled from the row blocks
     `plenax render` writes as they come.
     """
-    blocks = _render_rows(config, planes, state, base_dir, background, maxval)
+    blocks = _render_rows(config, planes, base_dir, background, maxval)
     shape = (config.image_height_px, config.image_width_px)
     raw = np.empty(shape, _body_dtype(maxval).newbyteorder("="))
     start = 0
@@ -384,7 +382,6 @@ def render_synthetic_scene(
 def _render_rows(
     config: CameraConfig,
     planes,
-    state: FocusState | None = None,
     base_dir: str | Path | None = None,
     background: float = 0.0,
     maxval: int = 65535,
@@ -398,14 +395,11 @@ def _render_rows(
     graymap writer takes it as it stands: use it before taking the next.
     """
     _check_maxval("render_synthetic_scene", maxval)
-    if state is None:
-        state = derive_focus_state(config)
     planes = sorted(planes, key=lambda p: p.depth_mm)
     base = Path(base_dir) if base_dir is not None else None
     samplers = [_texture_sampler(p, base) for p in planes]
 
-    pupil_z = simulate_virtual_cameras(config, state).entrance_pupil_to_h1_mm
-    m = config.sensor.micro_image_px
+    pupil_z = simulate_virtual_cameras(config).entrance_pupil_to_h1_mm
     c = config.sensor.half_span
     i_all = np.arange(-c, c + 1, dtype=np.float64)
     j_all = np.arange(config.mla.count_h, dtype=np.float64)
@@ -413,21 +407,22 @@ def _render_rows(
 
     # x depends only on the mosaic column, y only on the row, so each plane
     # is sampled on an outer product of two 1-D coordinate arrays.
-    qx, ux = _chief_rays(i_all[:, None], j_all[None, :], state, config)
+    qx, ux = _chief_rays(i_all[:, None], j_all[None, :], config)
     # Row geometry mirrors column geometry about the (possibly fractional)
     # vertical centre; reuse of the column trace keeps one code path.
     row_offset = (config.mla.count_v - config.mla.count_h) / 2.0
-    qy, uy = _chief_rays(i_all[:, None], h_all[None, :] - row_offset, state, config)
+    qy, uy = _chief_rays(i_all[:, None], h_all[None, :] - row_offset, config)
 
     width = config.image_width_px
     height = config.image_height_px
     cols = np.empty((len(planes), width))
     rows = np.empty((len(planes), height))
     for p, plane in enumerate(planes):
+        # Trace row c + i is viewpoint i, and its sample under lens j sits
+        # at mosaic column j * M + c + i: the transposed trace, raveled.
         z_plane = pupil_z + plane.depth_mm
-        for idx, i in enumerate(range(-c, c + 1)):
-            cols[p, np.arange(config.mla.count_h) * m + c + i] = qx[idx] * z_plane + ux[idx]
-            rows[p, np.arange(config.mla.count_v) * m + c + i] = qy[idx] * z_plane + uy[idx]
+        cols[p] = (qx * z_plane + ux).T.ravel()
+        rows[p] = (qy * z_plane + uy).T.ravel()
 
     # Every mosaic column takes its texture from the nearest plane covering
     # it, so each row block is one column gather from the planes' stacked

@@ -228,7 +228,7 @@ def run_consistency_checks(config: CameraConfig) -> list[CheckOutcome]:
     """
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
-    sim = oracle.simulate_virtual_cameras(config, state)
+    sim = oracle.simulate_virtual_cameras(config)
     tol = 1e-9
 
     def agree(label: str, closed: float, traced: float) -> CheckOutcome:

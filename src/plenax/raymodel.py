@@ -18,6 +18,7 @@ mm. Angles are radians internally.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,13 +202,15 @@ class VirtualCameraArray:
         """The centred viewpoint pair spanning gap, as a classical stereo rig.
 
         The pair is viewpoints i and i + gap with i = -floor(gap / 2): valid
-        for every gap in [1, 2c], and the adjacent pair (0, 1) at gap 1. The
-        rig carries the pair's baseline B = |A_(i+gap) - A_i| and the
-        relative tilt phi = |Phi_(i+gap) - Phi_i|.
+        for every integer gap in [1, 2c], and the adjacent pair (0, 1) at
+        gap 1. The rig carries the pair's baseline B = |A_(i+gap) - A_i|
+        and the relative tilt phi = |Phi_(i+gap) - Phi_i|.
         The two axes turn toward each other whenever the camera focuses
         closer than infinity, so phi is a magnitude, zero exactly at
         infinity focus.
         """
+        if not isinstance(gap, numbers.Integral):
+            raise ValueError(f"gap must be an integer, got {gap!r}")
         span = 2 * self.half_span
         if not 1 <= gap <= span:
             raise ValueError(f"gap must lie in [1, {span}], the array's span, got {gap}")

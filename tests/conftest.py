@@ -79,7 +79,7 @@ def checker_lightfield(f197):
         depth_mm=CHECKER_DEPTH_MM, texture="checker", argument_mm=6.7 * f197.grid_mm
     )
     # The renderer returns the 16-bit raw that `plenax render` writes.
-    raw = px.render_synthetic_scene(f197.config, [plane], state=f197.state)
+    raw = px.render_synthetic_scene(f197.config, [plane])
     return px.decode(raw)
 
 
@@ -102,9 +102,7 @@ def smooth_lightfield(f197, tmp_path_factory):
     plane = px.ScenePlane(
         depth_mm=CHECKER_DEPTH_MM, texture="file", argument_mm=mm_per_px, path="tile.pgm"
     )
-    raw = px.render_synthetic_scene(
-        f197.config, [plane], state=f197.state, base_dir=tile_dir
-    )
+    raw = px.render_synthetic_scene(f197.config, [plane], base_dir=tile_dir)
     return px.decode(raw)
 
 

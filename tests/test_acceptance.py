@@ -155,7 +155,7 @@ def test_ray_trace_oracle_agrees_with_closed_form(configs, states):
 
     for name in WIDE_PAIR_REFERENCE:
         config, state = configs[name], states[name]
-        sim = px.simulate_virtual_cameras(config, state)
+        sim = px.simulate_virtual_cameras(config)
         array = px.build_virtual_camera_array(state, config)
         assert sim.intersection_spread_mm < 1e-9, name
         assert close(

@@ -1,5 +1,9 @@
 """The package's public names: growing or shrinking them is a reviewed diff."""
 
+import inspect
+
+import pytest
+
 import plenax as px
 
 PUBLIC = [
@@ -64,3 +68,14 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in px.__all__:
         assert getattr(px, name) is not None
+
+
+@pytest.mark.parametrize("name, params", [
+    ("simulate_virtual_cameras", ["config"]),
+    ("simulate_distance", ["config", "gap", "delta_x_px"]),
+    ("render_synthetic_scene", ["config", "planes", "base_dir", "background", "maxval"]),
+])
+def test_oracle_takes_only_the_camera(name, params):
+    # The oracle solves the focus itself: a focus state passed beside the
+    # config could belong to another camera.
+    assert list(inspect.signature(getattr(px, name)).parameters) == params

@@ -269,13 +269,25 @@ class TestRenderBytes:
         scene = tmp_path / "scene.txt"
         scene.write_text("plane 1500 checker 0.9\n")
         out = tmp_path / "o.pgm"
-        code, _, err = run(
-            capsys, "render", f197_cfg_path, str(scene), str(out), "--maxval", "70000"
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as info:
+            main(["render", f197_cfg_path, str(scene), str(out), "--maxval", "70000"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
         assert "maxval 70000" in err
-        assert str(out) in err
+        assert "--maxval" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("maxval", ["0", "65536"])
+    def test_maxval_is_usage_error_before_reading(self, capsys, tmp_path, maxval):
+        # Neither the config nor the scene exists: the flag fails first.
+        out = tmp_path / "o.pgm"
+        with pytest.raises(SystemExit) as info:
+            main(["render", str(tmp_path / "missing.cfg"), str(tmp_path / "missing.txt"),
+                  str(out), "--maxval", maxval])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--maxval: maxval {maxval} outside (0, 65536)" in err
+        assert "missing" not in err and not out.exists()
 
 
 class TestDisparityCommand:

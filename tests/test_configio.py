@@ -79,6 +79,17 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match=r"unknown key 'd_f' \(allowed: d_f_mm\)"):
             px.parse_config(text)
 
+    def test_image_distance_at_infinity_is_not_a_key(self):
+        # The focus solve gives b_u = f_u at infinity; a key beside it could
+        # only move the exit pupil off exit_pupil_inf_mm.
+        text = VALID.replace("h1h2_mm = 147.4618\n", "h1h2_mm = 147.4618\nb_u_inf_mm = 198\n")
+        with pytest.raises(ConfigError) as info:
+            px.parse_config(text, origin="rig.cfg")
+        assert str(info.value) == (
+            "rig.cfg: [main_lens] has unknown key 'b_u_inf_mm' "
+            "(allowed: exit_pupil_inf_mm, f_u_mm, h1h2_mm, v1h1_mm)"
+        )
+
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match="aperture"):
             px.parse_config(VALID + "\n[aperture]\nd = 1\n")
@@ -180,7 +191,6 @@ _POSITIVE_LENGTHS = [
     ("mla", "f_s_mm"),
     ("main_lens", "f_u_mm"),
     ("main_lens", "exit_pupil_inf_mm"),
-    ("main_lens", "b_u_inf_mm"),
     ("focus", "d_f_mm"),
 ]
 

@@ -200,19 +200,6 @@ class TestSpecs:
         )
         assert surfaces == (0.0,) * 5
 
-    def test_main_lens_image_distance_inf_defaults_to_focal_length(self):
-        lens = px.MainLensSpec(
-            focal_length_mm=197.1264, exit_pupil_inf_mm=100.5, principal_gap_mm=147.4618
-        )
-        assert lens.image_distance_inf_mm == 197.1264
-        explicit = px.MainLensSpec(
-            focal_length_mm=197.1264,
-            exit_pupil_inf_mm=100.5,
-            principal_gap_mm=147.4618,
-            b_u_inf_mm=198.0,
-        )
-        assert explicit.image_distance_inf_mm == 198.0
-
     def test_focus_setting(self):
         assert px.FocusSetting(math.inf).at_infinity
         assert not px.FocusSetting(3000.0).at_infinity

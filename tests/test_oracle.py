@@ -124,7 +124,7 @@ class TestCurvedBackLenslets:
         assert -h / u + lens.h1_from_front == pytest.approx(lens.focal_length, rel=1e-12)
 
 
-def _loop_simulate_virtual_cameras(config, state):
+def _loop_simulate_virtual_cameras(config):
     """simulate_virtual_cameras as it was: one chief-ray trace per viewpoint."""
     c = config.sensor.half_span
     count = config.mla.count_h
@@ -135,7 +135,7 @@ def _loop_simulate_virtual_cameras(config, state):
     spread = 0.0
     z_all = []
     for i in range(-c, c + 1):
-        q, u = _chief_rays(i, j, state, config)
+        q, u = _chief_rays(i, j, config)
         z, x = _intersect(q[:-apart], u[:-apart], q[apart:], u[apart:])
         x_mean = x.mean()
         spread = max(spread, np.abs(x - x_mean).max())
@@ -154,15 +154,15 @@ def _loop_simulate_virtual_cameras(config, state):
 
 
 class TestVirtualCameraSimulation:
-    def test_broadcast_trace_equals_per_viewpoint_loop(self, configs, states):
+    def test_broadcast_trace_equals_per_viewpoint_loop(self, configs):
         for name, config in configs.items():
-            got = px.simulate_virtual_cameras(config, states[name])
-            assert got == _loop_simulate_virtual_cameras(config, states[name]), name
+            got = px.simulate_virtual_cameras(config)
+            assert got == _loop_simulate_virtual_cameras(config), name
 
     def test_matches_closed_form(self, configs, states):
         name = "f193_mla2_3m"
         config, state = configs[name], states[name]
-        sim = px.simulate_virtual_cameras(config, state)
+        sim = px.simulate_virtual_cameras(config)
         array = px.build_virtual_camera_array(state, config)
         z_a = px.entrance_pupil_distance(state, config)
         assert sim.intersection_spread_mm < 1e-9
@@ -182,7 +182,7 @@ class TestVirtualCameraSimulation:
             config, state = configs[name], states[name]
             z_a = px.entrance_pupil_distance(state, config)
             for gap in (1, 3, 6):
-                z = px.simulate_distance(config, gap, 0.0, state)
+                z = px.simulate_distance(config, gap, 0.0)
                 assert z + z_a == pytest.approx(state.a_u_mm, rel=1e-9)
 
 
@@ -207,7 +207,7 @@ def valid_rigs(draw):
     )
 
 
-def _rounding_spread(config, state, sim):
+def _rounding_spread(config, sim):
     """Crossing spread that rounding each traced line to float64 can cause.
 
     A line's height at the main lens sums the lenslet position and the
@@ -217,7 +217,7 @@ def _rounding_spread(config, state, sim):
     """
     c = config.sensor.half_span
     count = config.mla.count_h
-    q, u = _chief_rays(np.arange(-c, c + 1)[:, None], np.arange(count)[None, :], state, config)
+    q, u = _chief_rays(np.arange(-c, c + 1)[:, None], np.arange(count)[None, :], config)
     apart = count // 2
     dq = np.abs(q[:, :-apart] - q[:, apart:]).min()
     heights = np.abs(u).max() + count * config.mla.pitch_mm / 2
@@ -226,9 +226,9 @@ def _rounding_spread(config, state, sim):
 
 
 class TestFloat64Agreement:
-    def test_fixture_spread_far_below_the_bound(self, configs, states):
+    def test_fixture_spread_far_below_the_bound(self, configs):
         for name, config in configs.items():
-            sim = px.simulate_virtual_cameras(config, states[name])
+            sim = px.simulate_virtual_cameras(config)
             assert sim.intersection_spread_mm <= 1e-10, name
 
     @settings(max_examples=60, deadline=None)
@@ -236,17 +236,16 @@ class TestFloat64Agreement:
     def test_generated_rigs_agree(self, config):
         outcomes = px.run_consistency_checks(config)
         assert all(o.passed for o in outcomes), [o for o in outcomes if not o.passed]
-        state = px.derive_focus_state(config)
-        sim = px.simulate_virtual_cameras(config, state)
+        sim = px.simulate_virtual_cameras(config)
         # Within a few ulps of the lines themselves: the trace loses no
         # precision of its own, wherever the lenslet sits.
-        assert sim.intersection_spread_mm <= 16 * _rounding_spread(config, state, sim)
+        assert sim.intersection_spread_mm <= 16 * _rounding_spread(config, sim)
 
     def test_spread_check_catches_one_displaced_ray(self, configs, monkeypatch):
         trace = oracle._chief_rays
 
-        def displaced(i, j, state, config):
-            q, u = trace(i, j, state, config)
+        def displaced(i, j, config):
+            q, u = trace(i, j, config)
             u = np.array(u)
             u.flat[u.size // 3] += 2e-9  # mm, twice the bound
             return q, u
@@ -274,6 +273,18 @@ class TestSimulateDistance:
         with pytest.raises(ValueError):
             px.simulate_distance(configs["f197_mla2_inf"], 13, 1.0)
 
+    @pytest.mark.parametrize("gap", [1.5, 2.0, "2"])
+    def test_non_integer_gap_rejected(self, configs, gap):
+        # 1.5 used to trace a fractional viewpoint and return 1148.84 mm.
+        with pytest.raises(ValueError, match=rf"gap must be an integer >= 1, got {gap!r}"):
+            px.simulate_distance(configs["f193_mla2_3m"], gap, 1.0)
+
+    def test_numpy_integer_gap_accepted(self, configs):
+        config = configs["f193_mla2_3m"]
+        assert px.simulate_distance(config, np.int64(3), 1.0) == px.simulate_distance(
+            config, 3, 1.0
+        )
+
 
 class TestGeneratedRigTriangulation:
     @settings(max_examples=200, deadline=None)
@@ -286,7 +297,7 @@ class TestGeneratedRigTriangulation:
         # Past 1e5 baselines the rays are so near parallel that rounding in
         # either route, not the model, sets the difference.
         assume(abs(z) <= 1e5 * array.pair(1).baseline_mm)
-        traced = px.simulate_distance(config, 1, dx, state)
+        traced = px.simulate_distance(config, 1, dx)
         assert abs(z - traced) <= 1e-9 * max(1.0, abs(z), abs(traced)), (z, traced)
 
     @settings(max_examples=200, deadline=None)
@@ -444,9 +455,7 @@ class TestRenderer:
         near = px.ScenePlane(
             depth_mm=1000.0, texture="checker", argument_mm=1e9, band=(20.0, 1e9)
         )
-        raw = px.render_synthetic_scene(
-            f197.config, [far, near], state=f197.state, background=0.5
-        )
+        raw = px.render_synthetic_scene(f197.config, [far, near], background=0.5)
         # A plane with a huge checker period is a constant field: floor(x/p)
         # is 0 on one side of the origin and -1 on the other.
         assert raw.samples.shape == (188 * 13, 281 * 13)
@@ -458,9 +467,7 @@ class TestRenderer:
         near_only = px.ScenePlane(
             depth_mm=1000.0, texture="checker", argument_mm=50.0, band=(0.0, 30.0)
         )
-        raw = px.render_synthetic_scene(
-            f197.config, [near_only], state=f197.state, background=0.25
-        )
+        raw = px.render_synthetic_scene(f197.config, [near_only], background=0.25)
         assert (raw.samples == np.rint(0.25 * 65535)).any()
 
     def test_traced_allocation_peak(self, f197, tmp_path):
@@ -471,9 +478,7 @@ class TestRenderer:
         planes = _two_plane_scene(tmp_path)
         tracemalloc.start()
         try:
-            raw = px.render_synthetic_scene(
-                f197.config, planes, state=f197.state, base_dir=tmp_path
-            )
+            raw = px.render_synthetic_scene(f197.config, planes, base_dir=tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -498,18 +503,18 @@ class TestRenderer:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
-        raw = px.render_synthetic_scene(f197.config, planes, state=f197.state, base_dir=tmp_path)
+        raw = px.render_synthetic_scene(f197.config, planes, base_dir=tmp_path)
         px.write_pgm(tmp_path / "want.pgm", raw.samples, maxval=65535)
         assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes()
 
     def test_maxval_sets_integer_type_and_range(self, f197):
         plane = px.ScenePlane(depth_mm=1000.0, texture="checker", argument_mm=0.7)
-        raw = px.render_synthetic_scene(f197.config, [plane], state=f197.state, maxval=255)
+        raw = px.render_synthetic_scene(f197.config, [plane], maxval=255)
         assert raw.samples.dtype == np.uint8
         assert set(np.unique(raw.samples)) == {0, 255}
         for maxval in (0, 65536):
             with pytest.raises(ValueError, match="maxval"):
-                px.render_synthetic_scene(f197.config, [plane], state=f197.state, maxval=maxval)
+                px.render_synthetic_scene(f197.config, [plane], maxval=maxval)
 
     def test_missing_texture_file_reports_path(self, f197, tmp_path):
         plane = px.ScenePlane(
@@ -600,7 +605,7 @@ class TestTextureSamplers:
 
         def render(planes):
             return px.render_synthetic_scene(
-                f197.config, planes, state=f197.state, base_dir=tmp_path, background=0.5
+                f197.config, planes, base_dir=tmp_path, background=0.5
             ).samples
 
         both = render([far, banded])

@@ -276,6 +276,15 @@ class TestPair:
         with pytest.raises(ValueError, match=rf"\[1, 12\].*got {gap}"):
             f197.array.pair(gap)
 
+    @pytest.mark.parametrize("gap", [1.5, 2.0, "2"])
+    def test_non_integer_gap_rejected(self, f197, gap):
+        # 1.5 used to fail as a bare "tuple indices must be integers".
+        with pytest.raises(ValueError, match=rf"gap must be an integer, got {gap!r}"):
+            f197.array.pair(gap)
+
+    def test_numpy_integer_gap_accepted(self, f197):
+        assert f197.array.pair(np.int64(4)) == f197.array.pair(4)
+
     def test_kernel_keeps_the_bits(self, configs, states):
         # triangulate and the depth map both reduce to stereo_depth on
         # array.pair(gap): the same operations in the same order, less the

@@ -5,7 +5,6 @@ import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import plenax as px
@@ -30,8 +29,6 @@ def _run(block, namespace):
 
 
 def _tour(namespace):
-    # The tour leaves `disparities` to the reader: one 2 px disparity.
-    namespace["disparities"] = np.array([2.0])
     return _run(_blocks()[0], namespace)
 
 
