@@ -31,9 +31,7 @@ from .lightfield import (
     write_pgm,
 )
 from .optics import (
-    INFINITY,
     CameraConfig,
-    FocusSetting,
     FocusState,
     MainLensSpec,
     MicroLensSpec,
@@ -74,12 +72,10 @@ from .raymodel import (
 
 __all__ = [
     "__version__",
-    "INFINITY",
     "CameraConfig",
     "ChiefRay",
     "ConfigError",
     "DisparityMap",
-    "FocusSetting",
     "FocusState",
     "MainLensSpec",
     "MatchParams",

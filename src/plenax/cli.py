@@ -57,6 +57,27 @@ def _maxval(text: str) -> int:
     return value
 
 
+def _checked(kind, rule: str, holds):
+    """argparse type: text that kind (int or float) reads and holds accepts."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+# nan would pass every later comparison, so the pupil rule excludes it.
+_positive_finite = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
+_odd_block = _checked(int, "odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
+_at_least_one = _checked(int, ">= 1", lambda v: v >= 1)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -64,11 +85,7 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="ascii")
 
 
-def cmd_predict(args, parser: argparse.ArgumentParser) -> int:
-    pupil = args.pupil_diameter_mm
-    # nan would never trip the baseline warning below.
-    if pupil is not None and not 0 < pupil < math.inf:
-        parser.error(f"--pupil-diameter-mm must be positive and finite, got {pupil}")
+def cmd_predict(args) -> int:
     config = load_config(args.config)
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
@@ -95,6 +112,7 @@ def cmd_predict(args, parser: argparse.ArgumentParser) -> int:
                 lines.append(f"{gap},{dx:g},{b:.6f},{phi:.6f},{z:.6f}")
         else:
             lines.append(f"{gap},,{b:.6f},{phi:.6f},")
+    pupil = args.pupil_diameter_mm
     if pupil is not None and rigs:
         widest = max(rig.baseline_mm for _, rig in rigs)
         if widest > pupil:
@@ -116,11 +134,7 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_disparity(args, parser: argparse.ArgumentParser) -> int:
-    if args.block < 1 or args.block % 2 == 0:
-        parser.error(f"--block must be odd, got {args.block}")
-    if args.maxd < 1:
-        parser.error(f"--maxd must be >= 1, got {args.maxd}")
+def cmd_disparity(args) -> int:
     left, left_maxval = lightfield.read_pgm(args.left)
     right, right_maxval = lightfield.read_pgm(args.right)
     # Matching views of different scales would give a plausible, wrong map.
@@ -187,51 +201,37 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _report(outcomes, verbose: bool) -> tuple[int, int, int]:
-    """Print the outcomes; return how many were evaluated, failed and skipped."""
-    failed = skipped = 0
-    for outcome in outcomes:
-        if outcome.note:
-            skipped += 1
-            print(f"SKIP {outcome.label}: {outcome.note}")
-            continue
-        if not outcome.passed:
-            failed += 1
-            print(
-                f"FAIL {outcome.label}: expected {outcome.expected!r}, "
-                f"got {outcome.got!r} (tolerance {outcome.tolerance:g})"
-            )
-        elif verbose:
-            print(f"PASS {outcome.label}: {outcome.got!r}")
-    return len(outcomes) - skipped, failed, skipped
-
-
 def cmd_verify(args) -> int:
     if args.reference is not None and args.config is None:
         raise ValueError("--reference only applies to a --config camera file")
     if args.config is not None and args.fixtures:
         raise ValueError("give either fixture names or --config, not both")
-    total = failed = skipped = 0
+    # (title, reference name, camera); a camera file has no title.
     if args.config is not None:
-        config = load_config(args.config)
-        outcomes = []
-        if args.reference is not None:
-            outcomes = presets.run_factory_checks(args.reference, config)
-        total, failed, skipped = _report(
-            outcomes + presets.run_consistency_checks(config), args.verbose
-        )
+        cameras = [(None, args.reference, load_config(args.config))]
     else:
         names = args.fixtures or sorted(presets.REFERENCE_VALUES)
         # An unknown name fails before any fixture's report is printed.
-        fixtures = [(name, presets.load_fixture(name)) for name in names]
-        for name, config in fixtures:
-            print(f"== {name} ==")
-            outcomes = presets.run_factory_checks(name, config)
-            outcomes += presets.run_consistency_checks(config)
-            n, f, k = _report(outcomes, args.verbose)
-            total += n
-            failed += f
-            skipped += k
+        cameras = [(f"== {name} ==", name, presets.load_fixture(name)) for name in names]
+    total = failed = skipped = 0
+    for title, reference, config in cameras:
+        if title is not None:
+            print(title)
+        outcomes = [] if reference is None else presets.run_factory_checks(reference, config)
+        for outcome in outcomes + presets.run_consistency_checks(config):
+            if outcome.note:
+                skipped += 1
+                print(f"SKIP {outcome.label}: {outcome.note}")
+                continue
+            total += 1
+            if not outcome.passed:
+                failed += 1
+                print(
+                    f"FAIL {outcome.label}: expected {outcome.expected!r}, "
+                    f"got {outcome.got!r} (tolerance {outcome.tolerance:g})"
+                )
+            elif args.verbose:
+                print(f"PASS {outcome.label}: {outcome.got!r}")
     if skipped:
         print(f"{skipped} check{'' if skipped == 1 else 's'} skipped")
     print(f"{total - failed}/{total} checks passed")
@@ -252,9 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated viewpoint gaps G")
     p.add_argument("--disparities", type=_finite_float_list, default="",
                    help="comma-separated disparities in pixels")
-    p.add_argument("--pupil-diameter-mm", type=float, default=None,
+    p.add_argument("--pupil-diameter-mm", type=_positive_finite, default=None,
                    help="warn when a baseline exceeds this pupil diameter")
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
+    p.set_defaults(run=cmd_predict)
 
     p = sub.add_parser("extract", help="split a raw capture into views")
     p.add_argument("config")
@@ -262,27 +263,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--rotate-180", action="store_true", dest="rotate_180",
                    help="rotate the raw before decoding")
+    p.set_defaults(run=cmd_extract)
 
     p = sub.add_parser("disparity", help="block-match two views")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--block", type=int, default=29, help="odd SAD window size")
-    p.add_argument("--maxd", type=int, default=5, help="search range in pixels")
+    p.add_argument("--block", type=_odd_block, default=29, help="odd SAD window size")
+    p.add_argument("--maxd", type=_at_least_one, default=5, help="search range in pixels")
     p.add_argument("--no-subpixel", action="store_true")
     p.add_argument("--out", required=True, help="disparity CSV path")
     p.add_argument("--graymap", default=None, help="optional 16-bit preview graymap")
+    p.set_defaults(run=cmd_disparity)
 
     p = sub.add_parser("depth", help="triangulate a disparity map")
     p.add_argument("config")
     p.add_argument("disparity", help="CSV from the disparity command")
     p.add_argument("--gap", type=int, required=True, help="viewpoint gap G of the pair")
     p.add_argument("--out", required=True, help="depth CSV path")
+    p.set_defaults(run=cmd_depth)
 
     p = sub.add_parser("render", help="synthesize a raw capture")
     p.add_argument("config")
     p.add_argument("scene", help="scene description file")
     p.add_argument("out", help="output graymap path")
     p.add_argument("--maxval", type=_maxval, default=65535)
+    p.set_defaults(run=cmd_render)
 
     p = sub.add_parser("verify", help="check against factory reference values")
     p.add_argument("fixtures", nargs="*",
@@ -292,31 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None,
                    help="compare --config against this fixture's reference values")
     p.add_argument("--verbose", action="store_true", help="print passing checks too")
+    p.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "predict":
-            return cmd_predict(args, parser)
-        if args.command == "extract":
-            return cmd_extract(args)
-        if args.command == "disparity":
-            return cmd_disparity(args, parser)
-        if args.command == "depth":
-            return cmd_depth(args)
-        if args.command == "render":
-            return cmd_render(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return args.run(args)
     except (OSError, ValueError, KeyError) as exc:
         # str() of a KeyError quotes its message; print the message itself.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

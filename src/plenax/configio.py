@@ -30,7 +30,8 @@ One table, _KEYS, lists every key: the spec field it sets, its kind
 sections or keys are rejected so that typos surface as errors instead of
 silently falling back to defaults, and spec errors name the file key.
 Without f_s_mm the lenslet focal length is the one the prescription
-implies; the lenslet's principal gap is always derived, never read.
+implies; the lenslet's principal gap is always derived, never read. The
+[focus] section holds one value, and CameraConfig.focus is d_f_mm as read.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import re
 from pathlib import Path
 
-from .optics import CameraConfig, FocusSetting, MainLensSpec, MicroLensSpec, SensorSpec
+from .optics import CameraConfig, MainLensSpec, MicroLensSpec, SensorSpec
 
 
 class ConfigError(ValueError):
@@ -73,8 +74,11 @@ _KEYS = {
     },
     "focus": {"d_f_mm": ("d_f_mm", _NUMBER_OR_INF, True)},
 }
-# The spec each section builds; CameraConfig takes them under the same names.
-_SPECS = dict(sensor=SensorSpec, mla=MicroLensSpec, main_lens=MainLensSpec, focus=FocusSetting)
+# What each section builds; CameraConfig takes them under the same names.
+# The focus is the one value d_f_mm, which CameraConfig checks.
+_SPECS = dict(
+    sensor=SensorSpec, mla=MicroLensSpec, main_lens=MainLensSpec, focus=lambda d_f_mm: d_f_mm
+)
 
 
 def load_config(path: str | Path) -> CameraConfig:

@@ -41,7 +41,7 @@ class MatchParams:
 
     def __post_init__(self) -> None:
         if self.block_size < 1 or self.block_size % 2 == 0:
-            raise ValueError(f"block_size must be odd, got {self.block_size}")
+            raise ValueError(f"block_size must be odd and >= 1, got {self.block_size}")
         if self.max_disparity < 1:
             raise ValueError(
                 f"max_disparity must be >= 1, got {self.max_disparity}"
@@ -191,12 +191,15 @@ def block_match(
     costs, argmin, ties and parabola. With span = max(both views) -
     min(both views), no window sum exceeds span * block_size**2. While that
     stays below 2**31, the views are shifted by their joint minimum (uint16
-    when span < 2**16, int32 otherwise) and the costs run in int32. The
-    integral image may wrap modulo 2**32, but ((A - B) - C) + D still
-    comes out as the exact window sum. The int32 path is taken only where
-    the float64 path is exact too (every integral entry, at most span *
-    height * width, below 2**53), so both give the same bits. All other
-    views, integers above the int32 bound among them, run in float64.
+    when span < 2**16, int32 otherwise) and the costs run in int32. When
+    both views have integer dtypes they are shifted in integer arithmetic,
+    so int64 or uint64 views above 2**53 shift exactly, and their map does
+    not depend on a shift common to both. The integral image may wrap modulo 2**32, but
+    ((A - B) - C) + D still comes out as the exact window sum. The int32
+    path is taken only where the float64 path is exact too (every integral
+    entry, at most span * height * width, below 2**53), so for views that
+    float64 holds exactly both give the same bits. All other views,
+    integers above the int32 bound among them, run in float64.
 
     Bands: an exact window sum does not depend on the row where its
     integral image starts. So on the int32 path the valid rows are split
@@ -258,12 +261,13 @@ def block_match(
         # float64 maximum keeps every intermediate finite.
         bound = np.finfo(np.float64).max / (8.0 * height * width)
         for name, view in (("left", left), ("right", right)):
-            top, bottom = float(view.max()), float(view.min())
+            top, bottom = view.max(), view.min()
             if not (np.isfinite(top) and np.isfinite(bottom)):
                 raise ValueError(f"{name} view holds non-finite values")
-            if max(top, -bottom) > bound:
+            magnitude = max(float(top), -float(bottom))
+            if magnitude > bound:
                 raise ValueError(
-                    f"{name} view magnitude {max(top, -bottom):.6g} exceeds "
+                    f"{name} view magnitude {magnitude:.6g} exceeds "
                     f"{bound:.6g} (float64 max / (8*{height}*{width})); "
                     "its matching costs could overflow"
                 )
@@ -278,8 +282,11 @@ def block_match(
     b = params.block_size
     inner_h = height - 2 * half
     valid_w = width - 2 * margin
-    offset = min(bottoms)
-    span = max(tops) - offset
+    integer = all(np.issubdtype(v.dtype, np.integer) for v in (left, right))
+    # Integer extremes as Python ints: as floats they round above 2**53.
+    exact_value = int if integer else float
+    offset = min(map(exact_value, bottoms))
+    span = max(map(exact_value, tops)) - offset
     exact = (
         span * b * b < 2**31
         and span * height * width < 2**53
@@ -288,11 +295,13 @@ def block_match(
     )
     if exact:
         dtype = np.int32
-        # Whole values in float64 minus a whole offset are exact, in
-        # [0, span]: PGM views fit uint16.
+        # The shifted views lie in [0, span]: PGM views fit uint16. Integer
+        # views are shifted modulo 2**64, which is exact there; whole values
+        # in float64 minus a whole offset are exact too.
         store = np.uint16 if span < 2**16 else np.int32
+        shift, work = (np.uint64(offset % 2**64), np.uint64) if integer else (offset, np.float64)
         lv, rv = (
-            np.subtract(v, offset, out=np.empty(v.shape, store), dtype=np.float64, casting="unsafe")
+            np.subtract(v, shift, out=np.empty(v.shape, store), dtype=work, casting="unsafe")
             for v in (left, right)
         )
         bands = _band_count(inner_h, b)
@@ -355,10 +364,13 @@ def write_map_csv(path: str | Path, values: np.ndarray, header: dict | None = No
     """Write a float grid as comma-separated rows with '#' header lines.
 
     Every cell is printed as %.6f, which writes invalid cells as nan and
-    infinities as inf/-inf.
+    infinities as inf/-inf. A grid that is not 2-D raises ValueError naming
+    the path and the shape, and no file is written.
     """
-    lines = [f"# {key}: {value}" for key, value in (header or {}).items()]
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"{path}: a map must be 2-D, got shape {arr.shape}")
+    lines = [f"# {key}: {value}" for key, value in (header or {}).items()]
     rows, cols = arr.shape
     lines.append(f"# rows: {rows}")
     lines.append(f"# cols: {cols}")

@@ -3,6 +3,8 @@
 All lengths are millimetres. Distances along the optical axis are positive
 toward object space. The image distance b_u and the exit pupil distance d_ap
 are measured from the micro lens array (MLA) plane toward the main lens.
+A camera's focus is the plain distance d_f (math.inf at infinity focus);
+everything that follows from it comes from derive_focus_state.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ class MicroLensSpec:
             Optional physical prescription, all four or none. The focal
             length derived from it must agree with focal_length_mm within
             1e-3 mm.
-        principal_gap_mm: Separation of the lens's principal planes, derived
-            from the prescription; None for a thin lenslet. Not an argument.
         lens: The lenslet model: surface powers, glass path, focal length
-            and principal planes, from the prescription or, for a thin
-            lenslet, from focal_length_mm alone. Not an argument.
+            and principal planes (lens.principal_gap is their separation),
+            from the prescription or, for a thin lenslet, from
+            focal_length_mm alone. Not an argument.
     """
 
     focal_length_mm: float | None
@@ -77,7 +76,6 @@ class MicroLensSpec:
     refractive_index: float | None = None
     radius_front_mm: float | None = None
     radius_back_mm: float | None = None
-    principal_gap_mm: float | None = field(init=False, default=None)
     lens: _ThickLens = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -112,8 +110,6 @@ class MicroLensSpec:
                 f"prescription yields focal length {lens.focal_length:.6f} mm, "
                 f"disagreeing with focal_length_mm={self.focal_length_mm}"
             )
-        else:
-            object.__setattr__(self, "principal_gap_mm", lens.principal_gap)
         object.__setattr__(self, "lens", lens)
 
 
@@ -147,26 +143,6 @@ class MainLensSpec:
 
 
 @dataclass(frozen=True)
-class FocusSetting:
-    """Where the camera is focused.
-
-    Attributes:
-        d_f_mm: Distance from the MLA's front vertex to the focused object
-            plane. Use math.inf for infinity focus.
-    """
-
-    d_f_mm: float
-
-    def __post_init__(self) -> None:
-        if not (self.d_f_mm > 0):
-            raise ValueError(f"d_f_mm must be > 0 or infinite, got {self.d_f_mm}")
-
-    @property
-    def at_infinity(self) -> bool:
-        return math.isinf(self.d_f_mm)
-
-
-@dataclass(frozen=True)
 class FocusState:
     """Quantities derived from a focus setting.
 
@@ -184,19 +160,25 @@ class FocusState:
 
 @dataclass(frozen=True)
 class CameraConfig:
-    """Complete description of one plenoptic camera at one focus setting."""
+    """Complete description of one plenoptic camera at one focus setting.
+
+    Attributes:
+        sensor, mla, main_lens: The optics.
+        focus: Focus distance d_f from the MLA's front vertex to the focused
+            object plane, in mm; math.inf for infinity focus.
+    """
 
     sensor: SensorSpec
     mla: MicroLensSpec
     main_lens: MainLensSpec
-    focus: FocusSetting
+    focus: float
 
     def __post_init__(self) -> None:
+        if not self.focus > 0:
+            raise ValueError(f"d_f_mm must be > 0 or infinite, got {self.focus}")
         # A focus with no real image distance fails here, at load.
         solve_image_distance(
-            self.main_lens.focal_length_mm,
-            self.main_lens.principal_gap_mm,
-            self.focus.d_f_mm,
+            self.main_lens.focal_length_mm, self.main_lens.principal_gap_mm, self.focus
         )
 
     @property
@@ -311,13 +293,11 @@ def solve_image_distance(
 def derive_focus_state(config: CameraConfig) -> FocusState:
     """Solve the focus-dependent distances for a camera configuration."""
     lens = config.main_lens
-    b_u = solve_image_distance(
-        lens.focal_length_mm, lens.principal_gap_mm, config.focus.d_f_mm
-    )
+    b_u = solve_image_distance(lens.focal_length_mm, lens.principal_gap_mm, config.focus)
     # The exit pupil rides with the image distance: b_u - d_ap is a
     # lens-internal constant, fixed at infinity focus, where the image forms
     # at f_u and the pupil sits at exit_pupil_inf_mm.
     d_ap = b_u - (lens.focal_length_mm - lens.exit_pupil_inf_mm)
     # The object distance closes the span, inf at infinity focus.
-    a_u = config.focus.d_f_mm - b_u - lens.principal_gap_mm
+    a_u = config.focus - b_u - lens.principal_gap_mm
     return FocusState(b_u_mm=b_u, d_ap_mm=d_ap, a_u_mm=a_u)

@@ -39,7 +39,7 @@ from .lightfield import (
     _check_maxval,
     read_pgm,
 )
-from .optics import INFINITY, CameraConfig, derive_focus_state
+from .optics import CameraConfig, derive_focus_state
 
 
 def _through_lenslet(h, u, lens, center_mm=0.0, toward_scene=False):
@@ -223,7 +223,7 @@ def simulate_distance(config: CameraConfig, gap: int, delta_x_px: float) -> floa
     q1, u1 = _chief_rays(i_low, centre, config)
     q2, u2 = _chief_rays(i_low + gap, centre - delta_x_px, config)
     if abs(q1 - q2) <= 1e-12 * max(1.0, abs(q1), abs(q2)):
-        return INFINITY
+        return math.inf
     z = (u2 - u1) / (q1 - q2)
     pupil = simulate_virtual_cameras(config).entrance_pupil_to_h1_mm
     return float(z - pupil)

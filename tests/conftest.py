@@ -1,5 +1,6 @@
 """Shared fixtures: loaded rigs and rendered scenes reused across test modules."""
 
+import math
 import re
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ def rig(m, count_h, count_v):
         main_lens=px.MainLensSpec(
             focal_length_mm=197.1264, exit_pupil_inf_mm=100.5, principal_gap_mm=147.4618
         ),
-        focus=px.FocusSetting(px.INFINITY),
+        focus=math.inf,
     )
 
 

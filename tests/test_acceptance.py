@@ -45,9 +45,9 @@ WIDE_PAIR_REFERENCE = {
 # Triangulated distances (mm) for single-gap pairs, relative 1e-4 except the
 # near-parallel negative-disparity case which carries +-2 mm.
 DISTANCE_REFERENCE = {
-    "f193_mla2_inf": {1: 978.2150, 2: 489.1075, 0: px.INFINITY},
-    "f90_mla2_inf": {1: 213.9790, 2: 106.9895, 0: px.INFINITY},
-    "f193_mla1_inf": {1: 2152.0729, 2: 1076.0365, 0: px.INFINITY},
+    "f193_mla2_inf": {1: 978.2150, 2: 489.1075, 0: math.inf},
+    "f90_mla2_inf": {1: 213.9790, 2: 106.9895, 0: math.inf},
+    "f193_mla1_inf": {1: 2152.0729, 2: 1076.0365, 0: math.inf},
     "f193_mla2_3m": {0: 3001.4530, 1: 877.9068, 2: 514.1456},
     "f90_mla2_3m": {0: 2913.5460, 1: 212.1505, 2: 110.0831},
     "f193_mla1_3m": {0: 3001.4530, 1: 1429.6116, 2: 938.2541},
@@ -96,7 +96,7 @@ def test_lens_prescriptions_recover_focal_length_and_principal_gap():
     for radius, f_s in ((0.70325, 1.25), (1.54715, 2.75)):
         mla = px.MicroLensSpec(None, 0.125, 3, 3, 1.1, 1.5626, radius, -math.inf)
         assert mla.focal_length_mm == pytest.approx(f_s, abs=1e-3)
-        assert mla.principal_gap_mm == pytest.approx(0.396, abs=1e-3)
+        assert mla.lens.principal_gap == pytest.approx(0.396, abs=1e-3)
 
 
 def test_reference_baselines(configs, states):

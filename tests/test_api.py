@@ -11,9 +11,7 @@ PUBLIC = [
     "ChiefRay",
     "ConfigError",
     "DisparityMap",
-    "FocusSetting",
     "FocusState",
-    "INFINITY",
     "MainLensSpec",
     "MatchParams",
     "MicroLensSpec",

@@ -81,7 +81,7 @@ class TestPredict:
             main(["predict", str(missing), "--gaps", "12", f"--pupil-diameter-mm={diameter}"])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "--pupil-diameter-mm must be positive and finite" in err
+        assert "argument --pupil-diameter-mm: must be positive and finite" in err
         assert "missing.cfg" not in err
 
     @pytest.mark.parametrize("gaps", ["0,2", "2,-1", "0"])
@@ -301,6 +301,19 @@ class TestDisparityCommand:
             ])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("block", ["28", "-1", "0", "x"])
+    def test_bad_block_is_usage_error_before_reading(self, capsys, tmp_path, block):
+        left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"
+        with pytest.raises(SystemExit) as info:
+            main([
+                "disparity", str(left), str(right), f"--block={block}",
+                "--out", str(tmp_path / "d.csv"),
+            ])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --block: must be odd and >= 1, got {block}" in err
+        assert "l.pgm" not in err and not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("maxd", ["0", "-3"])
     def test_maxd_below_one_is_usage_error_before_reading(self, capsys, tmp_path, maxd):
         # The views do not exist: the flag is rejected before either is read.
@@ -311,7 +324,7 @@ class TestDisparityCommand:
                 "--out", str(tmp_path / "d.csv"),
             ])
         assert info.value.code == 2
-        assert f"--maxd must be >= 1, got {maxd}" in capsys.readouterr().err
+        assert f"argument --maxd: must be >= 1, got {maxd}" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
     def test_no_subpixel_yields_integers(self, tmp_path):

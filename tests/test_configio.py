@@ -37,7 +37,7 @@ class TestParseConfig:
     def test_valid_text(self):
         config = px.parse_config(VALID)
         assert config.sensor.micro_image_px == 13
-        assert config.focus.at_infinity
+        assert config.focus == math.inf
         assert config.main_lens.front_vertex_to_h1_mm is None
 
     def test_all_bundled_fixtures_load(self):
@@ -61,11 +61,11 @@ class TestParseConfig:
         config = px.parse_config(text)
         lens = _thick_lens(1.1, 1.5626, 1.54715, -math.inf)
         assert config.mla.focal_length_mm == lens.focal_length
-        assert config.mla.principal_gap_mm == lens.principal_gap
+        assert config.mla.lens.principal_gap == lens.principal_gap
 
     def test_finite_focus(self):
         config = px.parse_config(VALID.replace("d_f_mm = inf", "d_f_mm = 3000.0"))
-        assert config.focus.d_f_mm == 3000.0
+        assert config.focus == 3000.0
 
 
 class TestSchemaErrors:
@@ -132,6 +132,13 @@ class TestSchemaErrors:
         path.write_text(VALID.replace("d_f_mm = inf", "d_f_mm = 600.0"))
         with pytest.raises(ConfigError, match=r"d_f_mm=600\.0 .*935\.9674 mm"):
             px.load_config(path)
+
+    def test_non_positive_focus_names_the_key(self, tmp_path):
+        path = tmp_path / "rig.cfg"
+        path.write_text(VALID.replace("d_f_mm = inf", "d_f_mm = -1"))
+        with pytest.raises(ConfigError) as info:
+            px.load_config(path)
+        assert str(info.value) == f"{path}: [focus] d_f_mm must be > 0 or infinite, got -1.0"
 
     def test_nonexistent_path(self, tmp_path):
         with pytest.raises((ConfigError, OSError)):

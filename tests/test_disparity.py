@@ -186,6 +186,11 @@ class TestMatchParams:
         with pytest.raises(ValueError):
             px.MatchParams(max_disparity=0)
 
+    def test_negative_odd_block_names_the_rule(self):
+        # -1 is odd: the message states both halves of the rule.
+        with pytest.raises(ValueError, match=r"^block_size must be odd and >= 1, got -1$"):
+            px.MatchParams(block_size=-1)
+
 
 class TestSubpixelRefine:
     def test_symmetric_costs_centre(self):
@@ -454,6 +459,21 @@ class TestBlockMatch:
         want = _reference_block_match(left, right, params)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype, shift", [
+        (np.int64, 2**60), (np.int64, -(2**62)), (np.int64, 2**53 + 1), (np.uint64, 2**63),
+    ])
+    def test_large_integer_shift_does_not_change_bytes(self, dtype, shift):
+        # The costs do not depend on a shift common to both views. Shifted
+        # through float64, values above 2**53 rounded and moved the map.
+        rng = np.random.default_rng(3)
+        left = rng.integers(0, 1000, (40, 60))
+        right = np.roll(left, 2, axis=1) + rng.integers(0, 50, (40, 60))
+        params = px.MatchParams(block_size=7, max_disparity=4)
+        left, right = left.astype(dtype), right.astype(dtype)
+        want = px.block_match(left, right, params).values
+        got = px.block_match(left + dtype(shift), right + dtype(shift), params).values
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bands", [1, 2, 3, 7])
     @settings(max_examples=60, deadline=None)
     @given(case=banded_cases())
@@ -584,6 +604,14 @@ class TestMapIo:
         path = tmp_path / "map.csv"
         px.write_map_csv(path, np.zeros(shape))
         assert px.read_map_csv(path).shape == shape
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), ()])
+    def test_non_2d_map_names_path_and_shape(self, tmp_path, shape):
+        path = tmp_path / "map.csv"
+        with pytest.raises(ValueError) as info:
+            px.write_map_csv(path, np.zeros(shape))
+        assert str(info.value) == f"{path}: a map must be 2-D, got shape {shape}"
+        assert not path.exists()
 
     def test_body_must_match_declared_shape(self, tmp_path):
         path = tmp_path / "map.csv"

@@ -54,7 +54,7 @@ class TestSolveImageDistance:
         # toward it and gave up after 1000 steps.
         assert px.solve_image_distance(50.0, 0.0, 200.0) == 100.0
         config = configs["f197_mla2_inf"]
-        near = dataclasses.replace(config, focus=px.FocusSetting(935.9674))
+        near = dataclasses.replace(config, focus=935.9674)
         assert px.derive_focus_state(near).b_u_mm == pytest.approx(2 * 197.1264, rel=1e-7)
         # Just past the bound the root is exact where the loop fell short.
         assert px.solve_image_distance(50.0, 0.0, 201.0) == pytest.approx(
@@ -83,7 +83,7 @@ class TestSolveImageDistance:
     def test_agrees_with_fixed_point_on_fixtures(self, configs):
         for config in configs.values():
             lens = config.main_lens
-            args = (lens.focal_length_mm, lens.principal_gap_mm, config.focus.d_f_mm)
+            args = (lens.focal_length_mm, lens.principal_gap_mm, config.focus)
             assert px.solve_image_distance(*args) == pytest.approx(
                 _fixed_point_image_distance(*args), abs=1e-9
             )
@@ -144,7 +144,7 @@ class TestExitPupil:
             assert len(set(values)) == 1, values
 
     def test_at_infinity_is_identity(self, configs, states):
-        at_inf = [name for name, config in configs.items() if config.focus.d_f_mm == math.inf]
+        at_inf = [name for name, config in configs.items() if config.focus == math.inf]
         assert len(at_inf) == 6
         for name in at_inf:
             assert states[name].d_ap_mm == configs[name].main_lens.exit_pupil_inf_mm, name
@@ -172,7 +172,7 @@ class TestSpecs:
         lens = _thick_lens(*prescription)
         assert mla.lens == lens
         assert mla.focal_length_mm == lens.focal_length
-        assert mla.principal_gap_mm == lens.principal_gap
+        assert mla.lens.principal_gap == lens.principal_gap
 
     def test_principal_gap_is_derived_not_given(self):
         # A given gap would replace the derived one, which the oracle traces.
@@ -180,7 +180,7 @@ class TestSpecs:
             px.MicroLensSpec(
                 1.25, 0.125, 3, 3, 1.1, 1.5626, 0.70325, -math.inf, principal_gap_mm=5.0
             )
-        assert px.MicroLensSpec(1.25, 0.125, 3, 3).principal_gap_mm is None
+        assert px.MicroLensSpec(1.25, 0.125, 3, 3).lens.principal_gap == 0.0
 
     def test_focal_length_needs_a_full_prescription(self):
         with pytest.raises(ValueError, match="focal_length_mm is required"):
@@ -200,11 +200,11 @@ class TestSpecs:
         )
         assert surfaces == (0.0,) * 5
 
-    def test_focus_setting(self):
-        assert px.FocusSetting(math.inf).at_infinity
-        assert not px.FocusSetting(3000.0).at_infinity
-        with pytest.raises(ValueError):
-            px.FocusSetting(0.0)
+    def test_focus_setting(self, configs):
+        # The focus is the plain distance d_f; the camera checks it.
+        for d_f in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^d_f_mm must be > 0 or infinite, got {d_f}$"):
+                dataclasses.replace(configs["f197_mla2_inf"], focus=d_f)
 
 
 class TestDeriveFocusState:
@@ -212,7 +212,7 @@ class TestDeriveFocusState:
         config = configs["f193_mla2_3m"]
         state = states["f193_mla2_3m"]
         total = state.b_u_mm + config.main_lens.principal_gap_mm + state.a_u_mm
-        assert total == pytest.approx(config.focus.d_f_mm, abs=1e-9)
+        assert total == pytest.approx(config.focus, abs=1e-9)
 
     def test_infinity_state(self, configs, states):
         state = states["f197_mla2_inf"]

@@ -203,7 +203,7 @@ def valid_rigs(draw):
         sensor=px.SensorSpec(pixel, m),
         mla=px.MicroLensSpec(f_s, pitch, count, 1),
         main_lens=px.MainLensSpec(f_u, f_u * draw(st.floats(0.5, 1.5)), h1h2),
-        focus=px.FocusSetting(reach * (4.0 * f_u + h1h2)),
+        focus=reach * (4.0 * f_u + h1h2),
     )
 
 
