@@ -49,14 +49,6 @@ def _finite_float_list(text: str) -> list[float]:
     return values
 
 
-def _maxval(text: str) -> int:
-    """argparse type: a graymap maxval, under lightfield's rule 0 < maxval < 65536."""
-    value = int(text)
-    if not 0 < value < 65536:
-        raise argparse.ArgumentTypeError(f"maxval {value} outside (0, 65536)")
-    return value
-
-
 def _checked(kind, rule: str, holds):
     """argparse type: text that kind (int or float) reads and holds accepts."""
 
@@ -76,6 +68,8 @@ def _checked(kind, rule: str, holds):
 _positive_finite = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
 _odd_block = _checked(int, "odd and >= 1", lambda v: v >= 1 and v % 2 == 1)
 _at_least_one = _checked(int, ">= 1", lambda v: v >= 1)
+# lightfield's graymap rule, 0 < maxval < 65536.
+_maxval = _checked(int, "an integer in (0, 65536)", lambda v: 0 < v < 65536)
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -95,13 +95,6 @@ def _band_count(rows: int, block: int) -> int:
     return max(1, min(cores, rows // block))
 
 
-def _holds_integers(view: np.ndarray) -> bool:
-    """True when every value of view is a whole number."""
-    if np.issubdtype(view.dtype, np.integer):
-        return True
-    return np.issubdtype(view.dtype, np.floating) and bool(np.all(np.trunc(view) == view))
-
-
 def _match_rows(
     left: np.ndarray,
     right: np.ndarray,
@@ -185,21 +178,21 @@ def block_match(
     Pixels whose window leaves either image for any searched shift are
     invalid (NaN); validity never depends on image content.
 
-    Exact integer costs: when both views hold only integers (an integer
-    dtype, or a float dtype whose values are all whole), every cost and
-    window sum is an exact integer, so any summation order gives the same
-    costs, argmin, ties and parabola. With span = max(both views) -
-    min(both views), no window sum exceeds span * block_size**2. While that
-    stays below 2**31, the views are shifted by their joint minimum (uint16
-    when span < 2**16, int32 otherwise) and the costs run in int32. When
-    both views have integer dtypes they are shifted in integer arithmetic,
-    so int64 or uint64 views above 2**53 shift exactly, and their map does
-    not depend on a shift common to both. The integral image may wrap modulo 2**32, but
-    ((A - B) - C) + D still comes out as the exact window sum. The int32
-    path is taken only where the float64 path is exact too (every integral
-    entry, at most span * height * width, below 2**53), so for views that
-    float64 holds exactly both give the same bits. All other views,
-    integers above the int32 bound among them, run in float64.
+    Exact integer costs: a view qualifies when its dtype is an integer one,
+    or a float one whose values are all whole and lie in [-2**63, 2**63).
+    When both do, every cost and window sum is an exact integer, so any
+    summation order gives the same costs, argmin, ties and parabola. With
+    span = max(both views) - min(both views), no window sum exceeds
+    span * block_size**2. While that stays below 2**31, both views are read
+    as int64 and shifted by their joint minimum modulo 2**64, which puts
+    every value exactly in [0, span] (uint16 when span < 2**16, int32
+    otherwise), and the costs run in int32. So the map depends neither on
+    the views' dtypes nor on a shift common to both. The integral image may
+    wrap modulo 2**32, but ((A - B) - C) + D still comes out as the exact
+    window sum. The int32 path is taken only where the float64 path is
+    exact too (every integral entry, at most span * height * width, below
+    2**53), so for views that float64 holds exactly both give the same
+    bits. All other views run in float64.
 
     Bands: an exact window sum does not depend on the row where its
     integral image starts. So on the int32 path the valid rows are split
@@ -243,17 +236,22 @@ def block_match(
         DisparityMap of left's geometry.
 
     Raises:
-        ValueError: The views differ in shape, are not 2-D, either holds a
-            non-finite value (it would spread through the window sums and
-            leave wrong but finite disparities), or either holds a value
-            so large that the costs could overflow float64.
+        ValueError: Either view is complex, the views differ in shape,
+            are not 2-D, either holds a non-finite value (it would spread
+            through the window sums and leave wrong but finite
+            disparities), or either holds a value so large that the costs
+            could overflow float64.
     """
+    for name, view in (("left", left), ("right", right)):
+        # astype(float64) would keep only the real part.
+        if np.iscomplexobj(view):
+            raise ValueError(f"{name} view has complex dtype {view.dtype}; views must be real")
     if left.shape != right.shape:
         raise ValueError(f"view sizes differ: {left.shape} vs {right.shape}")
     if left.ndim != 2:
         raise ValueError(f"views must be 2-D, got shape {left.shape}")
     height, width = left.shape
-    tops, bottoms = [], []
+    tops, bottoms, whole = [], [], []
     if left.size:
         # Every integral-image entry and cost is at most
         # (max|l| + max|r|)*h*w, and the parabola's largest term,
@@ -273,6 +271,12 @@ def block_match(
                 )
             tops.append(top)
             bottoms.append(bottom)
+            # Whole values that int64 holds shift exactly on the int32 path.
+            whole.append(np.issubdtype(view.dtype, np.integer) or (
+                np.issubdtype(view.dtype, np.floating)
+                and -(2.0**63) <= float(bottom) and float(top) < 2.0**63
+                and bool(np.all(np.trunc(view) == view))
+            ))
     half = params.block_size // 2
     maxd = params.max_disparity
     margin = half + maxd
@@ -282,26 +286,19 @@ def block_match(
     b = params.block_size
     inner_h = height - 2 * half
     valid_w = width - 2 * margin
-    integer = all(np.issubdtype(v.dtype, np.integer) for v in (left, right))
-    # Integer extremes as Python ints: as floats they round above 2**53.
-    exact_value = int if integer else float
-    offset = min(map(exact_value, bottoms))
-    span = max(map(exact_value, tops)) - offset
-    exact = (
-        span * b * b < 2**31
-        and span * height * width < 2**53
-        and _holds_integers(left)
-        and _holds_integers(right)
-    )
+    # Extremes as Python ints: as floats they round above 2**53.
+    offset = min(map(int, bottoms))
+    span = max(map(int, tops)) - offset
+    exact = all(whole) and span * b * b < 2**31 and span * height * width < 2**53
     if exact:
         dtype = np.int32
-        # The shifted views lie in [0, span]: PGM views fit uint16. Integer
-        # views are shifted modulo 2**64, which is exact there; whole values
-        # in float64 minus a whole offset are exact too.
+        # The shifted views lie in [0, span]: PGM views fit uint16. Each view
+        # is read as int64 and shifted modulo 2**64, which is exact there,
+        # uint64 values above 2**63 included.
         store = np.uint16 if span < 2**16 else np.int32
-        shift, work = (np.uint64(offset % 2**64), np.uint64) if integer else (offset, np.float64)
+        shift = np.int64((offset + 2**63) % 2**64 - 2**63)
         lv, rv = (
-            np.subtract(v, shift, out=np.empty(v.shape, store), dtype=work, casting="unsafe")
+            np.subtract(v, shift, out=np.empty(v.shape, store), dtype=np.int64, casting="unsafe")
             for v in (left, right)
         )
         bands = _band_count(inner_h, b)

@@ -184,6 +184,47 @@ class TestRenderExtractPipeline:
         high = px.triangulate(array, px.TriangulationQuery(4, 1.75))
         assert low < zf.mean() < high
 
+    def test_tilted_pair_disparity_and_depth(self, tmp_path):
+        # f193_mla1_1p5m focuses at 1.5 m: its gap-1 axes converge at a
+        # tilt worth 4.9 px of disparity, so a wrong tilt sign or size
+        # misses the 0.15 px bound. One smooth texture plane at 1,100 mm,
+        # on the rig cut to 81 x 61 lenses.
+        text = px.fixture_path("f193_mla1_1p5m").read_text()
+        text = re.sub(r"^lenses_h = \d+$", "lenses_h = 81", text, flags=re.M)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(re.sub(r"^lenses_v = \d+$", "lenses_v = 61", text, flags=re.M))
+        yy, xx = np.mgrid[0:256, 0:256] / 256
+        tile = (
+            0.30 * np.sin(2 * np.pi * (5 * xx + 0.11)) * np.cos(2 * np.pi * 7 * yy)
+            + 0.25 * np.sin(2 * np.pi * (11 * xx + 0.37))
+            + 0.25 * np.cos(2 * np.pi * (9 * yy + 0.21)) * np.sin(2 * np.pi * 3 * xx)
+            + 0.20 * np.cos(2 * np.pi * 4 * (xx + yy))
+        )
+        tile = np.round((tile - tile.min()) / (tile.max() - tile.min()) * 65535)
+        px.write_pgm(tmp_path / "tile.pgm", tile, maxval=65535)
+        depth_mm, gap, bound_px = 1100.0, 1, 0.15
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"plane {depth_mm} file tile.pgm 0.12\n")
+        raw, views = tmp_path / "raw.pgm", tmp_path / "views"
+        disp, depth = tmp_path / "disp.csv", tmp_path / "depth.csv"
+        assert main(["render", str(cfg), str(scene), str(raw)]) == 0
+        assert main(["extract", str(cfg), str(raw), str(views)]) == 0
+        # The centred pair of a gap starts at viewpoint -(gap // 2).
+        left, right = (views / px.view_filename(i - gap // 2, 0) for i in (0, gap))
+        assert main([
+            "disparity", str(left), str(right), "--block", "15", "--maxd", "5", "--out", str(disp)
+        ]) == 0
+        assert main(["depth", str(cfg), str(disp), "--gap", str(gap), "--out", str(depth)]) == 0
+
+        config = px.load_config(cfg)
+        array = px.build_virtual_camera_array(px.derive_focus_state(config), config)
+        want = px.disparity_for_distance(array, gap, depth_mm)
+        assert np.nanmedian(px.read_map_csv(disp)) == pytest.approx(want, abs=bound_px)
+        # The same bound in mm: nearer for a larger disparity.
+        near = px.triangulate(array, px.TriangulationQuery(gap, want + bound_px))
+        far = px.triangulate(array, px.TriangulationQuery(gap, want - bound_px))
+        assert near < np.nanmedian(px.read_map_csv(depth)) < far
+
     def test_extract_rejects_non_divisible_raw(self, capsys, tmp_path, f197_cfg_path):
         odd = tmp_path / "odd.pgm"
         px.write_pgm(odd, np.zeros((10, 10), dtype=np.uint16), maxval=255)
@@ -273,11 +314,10 @@ class TestRenderBytes:
             main(["render", f197_cfg_path, str(scene), str(out), "--maxval", "70000"])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "maxval 70000" in err
-        assert "--maxval" in err
+        assert "argument --maxval: must be an integer in (0, 65536), got 70000" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("maxval", ["0", "65536"])
+    @pytest.mark.parametrize("maxval", ["0", "65536", "x"])
     def test_maxval_is_usage_error_before_reading(self, capsys, tmp_path, maxval):
         # Neither the config nor the scene exists: the flag fails first.
         out = tmp_path / "o.pgm"
@@ -286,7 +326,8 @@ class TestRenderBytes:
                   str(out), "--maxval", maxval])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert f"--maxval: maxval {maxval} outside (0, 65536)" in err
+        # "x" used to name the private parser: "invalid _maxval value: 'x'".
+        assert f"argument --maxval: must be an integer in (0, 65536), got {maxval}" in err
         assert "missing" not in err and not out.exists()
 
 
