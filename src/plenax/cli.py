@@ -122,7 +122,7 @@ def cmd_predict(args) -> int:
 def cmd_extract(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out_dir)
-    # Streamed from the raw in lens-row blocks straight into the view files.
+    # Streamed from the raw one row offset at a time, each view file written whole.
     count = lightfield._extract_pgm(args.raw, config, out_dir, args.rotate_180)
     print(f"wrote {count} views to {out_dir}")
     return 0

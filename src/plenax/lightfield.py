@@ -8,16 +8,16 @@ every micro image, the pixel at one fixed offset (i, g) yields the
 sub-aperture view for that offset, one pixel per micro lens. That is a pure
 reindexing, so decode returns the light field view-major, indexed
 [c + i, c + g, h, j], as a read-only strided view of the raw that copies
-nothing. `plenax extract` copies blocks of whole lens rows, read straight
-from the file, through the same map into a block buffer and appends each
-view's rows to its own file, so it holds neither the raw nor the views.
+nothing. `plenax extract` reads the raw one row offset at a time,
+straight from the file, gathers that offset's views through the same map
+and writes each view file whole, one file at a time, so it holds neither
+the raw nor all the views.
 Every P5 file, `plenax render`'s raw included, goes through one writer that
 takes a row block at a time.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,8 +93,13 @@ def _view_major(samples: np.ndarray, m: int, rotate_180: bool) -> np.ndarray:
     if rotate_180:
         samples = samples[::-1, ::-1]
     height, width = samples.shape
-    # (h, g', j, i') -> (i', g', h, j)
-    return samples.reshape(height // m, m, width // m, m).transpose(3, 1, 0, 2)
+    # (h, g', i', j) -> (i', g', h, j)
+    return _lens_columns(samples.reshape(height // m, m, width), m).transpose(2, 1, 0, 3)
+
+
+def _lens_columns(rows: np.ndarray, m: int) -> np.ndarray:
+    """Split the last axis, raw column j*M + i', into (i', j), without copying."""
+    return rows.reshape(*rows.shape[:-1], rows.shape[-1] // m, m).swapaxes(-1, -2)
 
 
 def extract_view(views: np.ndarray, i: int, g: int) -> SubApertureImage:
@@ -238,14 +243,9 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
     return samples.reshape(height, width), maxval
 
 
-# Largest block buffer any streamed stage holds; a row (or lens row) longer
-# than this gets a buffer of one.
+# Largest block buffer any streamed stage holds, but extract's view gather,
+# which takes twice this; a row longer than this gets a buffer of one.
 _BLOCK_BYTES = 1 << 20
-
-# Most view files _extract_pgm keeps open at once, below macOS's default
-# soft limit of 256; a rig with more views takes one more pass over the raw
-# per group.
-_MAX_OPEN_VIEWS = 200
 
 
 def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_180: bool) -> int:
@@ -256,69 +256,64 @@ def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_1
     by view_filename and carrying the raw's maxval. Errors name the path as
     read_pgm's do, and so does a raw whose size is not the config's; the
     header, size, body length and samples are all checked before out_dir is
-    made.
+    made. A maxval below the sample type's maximum costs one scan of a P5
+    body first, a block of at most _BLOCK_BYTES at a time.
 
-    A P5 body is read k whole lens rows at a time (at most _BLOCK_BYTES) in
-    the file's sample type and copied, in one assignment through decode's
-    view-major map, into an (M, M, k, count_h) buffer; each view's
-    contiguous (k, count_h) slab is appended to its open file as it stands.
-    With rotate_180 the blocks are read last to first, so view rows are
-    still written top to bottom. A maxval below the sample type's maximum
-    costs one scan of the body first. A P2 body goes through read_pgm's
-    parser, then the same blocks.
+    The raw is walked one row offset g' = c + g at a time. Raw row h*M + g'
+    holds row h of the M views (i, g), so each of its count_v rows is read
+    once, with one positioned read into a one-row buffer, and split through
+    decode's map into an (M, count_v, count_h) buffer in the file's sample
+    type. When that buffer would pass 2 * _BLOCK_BYTES the views go in
+    groups that fit, of one view at least, each re-reading the rows. Each
+    view file is then opened, written whole in one write and closed before
+    the next, so one file is open at a time. With rotate_180, view (i, g)
+    is view (-i, -g) read backwards. A P2 body goes through read_pgm's
+    parser, then the same gather. An OS error part-way leaves the views
+    already written complete and removes the one in progress.
 
     Returns:
         The number of views written.
     """
     m, c = config.sensor.micro_image_px, config.sensor.half_span
     count_v, count_h = config.mla.count_v, config.mla.count_h
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         binary, width, height, maxval = _read_header(f, path)
         _check_raw_size(config, width, height, path)
         dtype = _body_dtype(maxval)
-        lens_row_bytes = m * width * dtype.itemsize
-        k = max(1, min(count_v, _BLOCK_BYTES // lens_row_bytes))
         if binary:
             _check_body_length(f, path, width, height, dtype)
             body = f.tell()
-            block = np.empty((k * m, width), dtype)
-
-            def lens_rows(first: int, count: int) -> np.ndarray:
-                f.seek(body + first * lens_row_bytes)
-                f.readinto(block[: count * m])
-                return block[: count * m]
-
             if maxval < np.iinfo(dtype).max:
-                for first in range(0, count_v, k):
-                    _check_peak(path, lens_rows(first, min(k, count_v - first)), maxval)
+                step = max(1, _BLOCK_BYTES // (width * dtype.itemsize))
+                for first in range(0, height, step):
+                    count = min(step, height - first) * width
+                    _check_peak(path, np.fromfile(f, dtype, count), maxval)
+            row = np.empty(width, dtype)
+
+            def raw_row(r: int) -> np.ndarray:
+                f.seek(body + r * row.nbytes)
+                f.readinto(row)
+                return row
         else:
             samples = _read_ascii_body(f, path, width * height, maxval).reshape(height, width)
-
-            def lens_rows(first: int, count: int) -> np.ndarray:
-                return samples[first * m : (first + count) * m]
+            raw_row = samples.__getitem__
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        firsts = list(range(0, count_v, k))
-        if rotate_180:
-            firsts.reverse()
-        offsets = [(i, g) for i in range(-c, c + 1) for g in range(-c, c + 1)]
-        views = np.empty((m, m, k, count_h), dtype)
-        for start in range(0, len(offsets), _MAX_OPEN_VIEWS):
-            group = offsets[start : start + _MAX_OPEN_VIEWS]
-            with contextlib.ExitStack() as stack:
-                writers = [
-                    stack.enter_context(
-                        _GraymapWriter(out_dir / view_filename(i, g), count_h, count_v, maxval)
-                    )
-                    for i, g in group
-                ]
-                for first in firsts:
-                    count = min(k, count_v - first)
-                    part = views[:, :, :count]
-                    part[...] = _view_major(lens_rows(first, count), m, rotate_180)
-                    for (i, g), writer in zip(group, writers):
-                        writer.write(part[c + i, c + g])
-    return len(offsets)
+        group = max(1, min(m, 2 * _BLOCK_BYTES // (count_v * count_h * dtype.itemsize)))
+        gathered = np.empty((group, count_v, count_h), dtype)
+        for g_raw in range(m):
+            for first in range(0, m, group):
+                part = gathered[: min(group, m - first)]
+                for h, r in enumerate(range(g_raw, height, m)):
+                    part[:, h] = _lens_columns(raw_row(r), m)[first : first + len(part)]
+                for i_raw, view in enumerate(part, first):
+                    i, g = i_raw - c, g_raw - c
+                    if rotate_180:
+                        i, g, view = -i, -g, view[::-1, ::-1]
+                    target = out_dir / view_filename(i, g)
+                    with _GraymapWriter(target, count_h, count_v, maxval) as out:
+                        out.write(view)
+    return m * m
 
 
 class _GraymapWriter:
@@ -341,7 +336,8 @@ class _GraymapWriter:
         self._buffer = None
 
     def __enter__(self) -> "_GraymapWriter":
-        # Unbuffered: each block is one write, and many open files hold no buffers.
+        # Unbuffered: the header and each block go out in one write each,
+        # never copied through a file buffer.
         self._file = self.path.open("wb", buffering=0)
         self._write(f"P5\n{self.width} {self.height}\n{self.maxval}\n".encode("ascii"))
         return self

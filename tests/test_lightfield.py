@@ -427,6 +427,16 @@ MALFORMED_RAWS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def f197_raw(tmp_path_factory):
+    """A full-range uint16 raw of the f197 rig, 3653x2444 px."""
+    config = px.load_fixture("f197_mla2_inf")
+    shape = (config.image_height_px, config.image_width_px)
+    raw = tmp_path_factory.mktemp("f197") / "raw.pgm"
+    px.write_pgm(raw, np.random.default_rng(15).integers(0, 65536, size=shape, dtype=np.uint16))
+    return raw
+
+
 def _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate):
     """`plenax extract` writes write_pgm's bytes for each view of read_pgm + decode."""
     flags = ["--rotate-180"] if rotate else []
@@ -459,42 +469,86 @@ class TestStreamedExtract:
             raw.write_text(f"P2\n35 20\n{maxval}\n{rows}\n")
         _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate)
 
-    def test_f197_extract_holds_one_frame(self, tmp_path):
-        # Lens-row blocks go straight to the view files: 2.3 MB traced, where
+    @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
+    def test_f197_extract_holds_one_frame(self, tmp_path, f197_raw, rotate):
+        # One row offset's 13 views go to the files: 1.6 MB traced, where
         # holding the views took 18.1 MB and read_pgm + decode 36 MB.
-        config = px.load_fixture("f197_mla2_inf")
-        shape = (config.image_height_px, config.image_width_px)
-        raw = tmp_path / "raw.pgm"
-        px.write_pgm(
-            raw, np.random.default_rng(15).integers(0, 65536, size=shape, dtype=np.uint16)
-        )
-        argv = ["extract", str(px.fixture_path("f197_mla2_inf")), str(raw), str(tmp_path / "v")]
+        argv = ["extract", str(px.fixture_path("f197_mla2_inf")), str(f197_raw),
+                str(tmp_path / "v")] + (["--rotate-180"] if rotate else [])
         code, peak = _traced_peak(main, argv)
         assert code == 0
-        assert peak < 4e6
+        assert peak < 2e6
         assert len(list((tmp_path / "v").iterdir())) == 169
 
+    @pytest.mark.parametrize("binary", [True, False], ids=["P5", "P2"])
     @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
     @pytest.mark.parametrize("maxval", [255, 1000, 65535])
     @pytest.mark.parametrize("lens_rows", [1, 3], ids=["1-lens-row", "3-lens-rows"])
     def test_grouped_passes_and_partial_blocks(self, tmp_path, monkeypatch, maxval, rotate,
-                                               lens_rows):
-        # 25 views in groups of at most 4 open files: seven passes over the
-        # body. Blocks of 3 lens rows do not divide the 4 lens rows.
-        cfg = rig_file(tmp_path, 5, 7, 4)
-        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=(20, 35))
+                                               lens_rows, binary):
+        # A budget of one (three) of the 40 lens rows gathers each row
+        # offset's 5 views in groups of 1 (3, which does not divide 5), each
+        # group re-reading the rows; the maxval scan's 3-lens-row blocks do
+        # not divide the 40 lens rows either.
+        cfg = rig_file(tmp_path, 5, 7, 40)
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=(200, 35))
         raw = tmp_path / "raw.pgm"
-        px.write_pgm(raw, samples, maxval=maxval)
+        if binary:
+            px.write_pgm(raw, samples, maxval=maxval)
+        else:
+            rows = "\n".join(" ".join(str(v) for v in row) for row in samples)
+            raw.write_text(f"P2\n35 200\n{maxval}\n{rows}\n")
         lens_row_bytes = 5 * 35 * (2 if maxval > 255 else 1)
-        monkeypatch.setattr(px.lightfield, "_MAX_OPEN_VIEWS", 4)
         monkeypatch.setattr(px.lightfield, "_BLOCK_BYTES", lens_rows * lens_row_bytes)
         _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate)
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
+    @pytest.mark.parametrize("rig_name", ["5x7x4", "f197"])
+    def test_each_view_is_one_write_with_one_file_open(self, tmp_path, monkeypatch, f197_raw,
+                                                       rig_name, rotate):
+        if rig_name == "f197":
+            cfg, raw, views = str(px.fixture_path("f197_mla2_inf")), f197_raw, 169
+        else:
+            cfg, raw, views = rig_file(tmp_path, 5, 7, 4), tmp_path / "raw.pgm", 25
+            px.write_pgm(raw, np.random.default_rng(3).integers(0, 1001, size=(20, 35)), 1000)
+            monkeypatch.setattr(px.lightfield, "_BLOCK_BYTES", 5 * 35 * 2)
+        writer = px.lightfield._GraymapWriter
+        enter, leave, write, put = writer.__enter__, writer.__exit__, writer.write, writer._write
+        blocks, os_writes, open_now, most_open = {}, [], set(), []
+
+        def counted_enter(self):
+            open_now.add(self.path)
+            most_open.append(len(open_now))
+            return enter(self)
+
+        def counted_exit(self, *exc):
+            open_now.discard(self.path)
+            return leave(self, *exc)
+
+        def counted_write(self, block):
+            blocks[self.path.name] = blocks.get(self.path.name, 0) + 1
+            write(self, block)
+
+        def counted_put(self, data):
+            os_writes.append(self.path.name)
+            put(self, data)
+
+        monkeypatch.setattr(writer, "__enter__", counted_enter)
+        monkeypatch.setattr(writer, "__exit__", counted_exit)
+        monkeypatch.setattr(writer, "write", counted_write)
+        monkeypatch.setattr(writer, "_write", counted_put)
+        flags = ["--rotate-180"] if rotate else []
+        assert main(["extract", cfg, str(raw), str(tmp_path / "v"), *flags]) == 0
+        assert sorted(blocks) == sorted(p.name for p in (tmp_path / "v").iterdir())
+        assert set(blocks.values()) == {1} and len(blocks) == views
+        assert len(os_writes) == 2 * views  # one header and one body per view
+        assert max(most_open) == 1
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["upright", "rotate-180"])
     def test_sample_above_maxval_in_the_last_lens_row(self, capsys, tmp_path, monkeypatch,
                                                       rotate):
-        # One lens row per block, so the bad sample is in the last block read
-        # upright and in the first read rotated; either way no view is written.
+        # One lens row per block, so the bad sample is in the last block the
+        # maxval scan reads; upright or rotated, no view is written.
         cfg = rig_file(tmp_path, 5, 7, 4)
         samples = np.full((20, 35), 1000, np.uint16)
         samples[-1, -1] = 1001
