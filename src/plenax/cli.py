@@ -9,7 +9,8 @@ Subcommands:
     verify     check cameras against factory reference values
 
 All data outputs are byte-stable: metadata lives in '#' header lines and
-no timestamps are written.
+no timestamps are written. Each command imports only the modules it runs,
+so a one-line prediction does not load the renderer or the matcher.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, disparity, lightfield, oracle, presets, raymodel
+from . import __version__
 from .configio import load_config
 from .optics import derive_focus_state
 
@@ -80,6 +79,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_predict(args) -> int:
+    from . import raymodel
+
     config = load_config(args.config)
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
@@ -88,7 +89,7 @@ def cmd_predict(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--gaps: {exc}") from None
     disparities = args.disparities
-    dx_mm = np.array(disparities) * array.virtual_pixel_pitch_mm
+    dx_mm = [dx * array.virtual_pixel_pitch_mm for dx in disparities]
 
     lines = [
         f"# camera: {args.config}",
@@ -120,6 +121,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import lightfield
+
     config = load_config(args.config)
     out_dir = Path(args.out_dir)
     # Streamed from the raw one row offset at a time, each view file written whole.
@@ -129,6 +132,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_disparity(args) -> int:
+    from . import disparity, lightfield
+
     left, left_maxval = lightfield.read_pgm(args.left)
     right, right_maxval = lightfield.read_pgm(args.right)
     # Matching views of different scales would give a plausible, wrong map.
@@ -162,6 +167,8 @@ def cmd_disparity(args) -> int:
 
 
 def cmd_depth(args) -> int:
+    from . import disparity, raymodel
+
     config = load_config(args.config)
     state = derive_focus_state(config)
     array = raymodel.build_virtual_camera_array(state, config)
@@ -179,6 +186,8 @@ def cmd_depth(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import lightfield, oracle
+
     config = load_config(args.config)
     scene_path = Path(args.scene)
     try:
@@ -196,6 +205,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import presets
+
     if args.reference is not None and args.config is None:
         raise ValueError("--reference only applies to a --config camera file")
     if args.config is not None and args.fixtures:

@@ -385,7 +385,8 @@ def read_map_csv(path: str | Path) -> np.ndarray:
     and so does a byte that is not ASCII. When the header declares the
     grid's rows and cols, a body of another shape (a truncated file, say)
     raises ValueError naming the path and both shapes, and an empty body
-    comes back at the declared zero-size shape. Other header lines are
+    comes back at the declared zero-size shape. An empty body without that
+    declaration raises ValueError naming the path. Other header lines are
     ignored.
     """
     try:
@@ -425,6 +426,8 @@ def read_map_csv(path: str | Path) -> np.ndarray:
                 f"{path}: header declares a {shape[0]}x{shape[1]} map, "
                 f"the body holds {grid.shape[0]}x{grid.shape[1]}"
             )
+    elif not rows:
+        raise ValueError(f"{path}: no map rows, and no declared rows and cols")
     return grid
 
 

@@ -37,6 +37,7 @@ from .lightfield import (
     RawLightFieldImage,
     _body_dtype,
     _check_maxval,
+    _lens_columns,
     read_pgm,
 )
 from .optics import CameraConfig, derive_focus_state
@@ -413,16 +414,16 @@ def _render_rows(
     row_offset = (config.mla.count_v - config.mla.count_h) / 2.0
     qy, uy = _chief_rays(i_all[:, None], h_all[None, :] - row_offset, config)
 
+    m = config.sensor.micro_image_px
     width = config.image_width_px
     height = config.image_height_px
     cols = np.empty((len(planes), width))
     rows = np.empty((len(planes), height))
     for p, plane in enumerate(planes):
-        # Trace row c + i is viewpoint i, and its sample under lens j sits
-        # at mosaic column j * M + c + i: the transposed trace, raveled.
+        # Trace row c + i is viewpoint i, placed where decode reads it.
         z_plane = pupil_z + plane.depth_mm
-        cols[p] = (qx * z_plane + ux).T.ravel()
-        rows[p] = (qy * z_plane + uy).T.ravel()
+        _lens_columns(cols[p], m)[...] = qx * z_plane + ux
+        _lens_columns(rows[p], m)[...] = qy * z_plane + uy
 
     # Every mosaic column takes its texture from the nearest plane covering
     # it, so each row block is one column gather from the planes' stacked

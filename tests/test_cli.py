@@ -492,6 +492,16 @@ class TestDepthCommand:
         assert err == f"error: {disp}: header declares a 4x3 map, the body holds 2x3\n"
         assert not out.exists()
 
+    def test_empty_map_rejected_before_writing(self, capsys, tmp_path, f197_cfg_path):
+        # It used to exit 0 with a 0x0 depth map.
+        disp = tmp_path / "d.csv"
+        disp.write_text("")
+        out = tmp_path / "z.csv"
+        code, _, err = run(capsys, "depth", f197_cfg_path, str(disp), "--gap", "1", "--out", str(out))
+        assert code == 1
+        assert err == f"error: {disp}: no map rows, and no declared rows and cols\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("gap", ["0", "-1", "13"])
     def test_gap_outside_span_rejected_before_writing(self, capsys, tmp_path, f197_cfg_path, gap):
         # "--gap 0" used to exit 0 with a zero baseline and zero depths.

@@ -653,6 +653,15 @@ class TestMapIo:
         with pytest.raises(ValueError, match=r"map\.csv:2: cols must be a count, got 'x'"):
             px.read_map_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "# gap: 1\n", "# rows: 0\n"])
+    def test_map_without_rows_or_declared_shape_names_path(self, tmp_path, text):
+        # An empty file used to read as a 0x0 map.
+        path = tmp_path / "map.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            px.read_map_csv(path)
+        assert str(info.value) == f"{path}: no map rows, and no declared rows and cols"
+
     def test_map_without_shape_lines_reads_as_written(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("# gap: 1\n1.0,2.0\n3.0,4.0\n")
