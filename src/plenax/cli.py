@@ -198,9 +198,7 @@ def cmd_render(args) -> int:
     # Each row block is written as it is rendered, so no frame is held.
     blocks = oracle._render_rows(config, planes, base_dir=scene_path.parent, maxval=args.maxval)
     width, height = config.image_width_px, config.image_height_px
-    with lightfield._GraymapWriter(args.out, width, height, args.maxval) as out:
-        for block in blocks:
-            out.write(block)
+    lightfield._write_graymap(args.out, width, height, args.maxval, blocks)
     return 0
 
 

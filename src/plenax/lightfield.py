@@ -12,8 +12,8 @@ nothing. `plenax extract` reads the raw one row offset at a time,
 straight from the file, gathers that offset's views through the same map
 and writes each view file whole, one file at a time, so it holds neither
 the raw nor all the views.
-Every P5 file, `plenax render`'s raw included, goes through one writer that
-takes a row block at a time.
+Every P5 file, `plenax render`'s raw and each view included, is written by
+one function, _write_graymap, from an iterable of row blocks.
 """
 
 from __future__ import annotations
@@ -310,62 +310,53 @@ def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_1
                     i, g = i_raw - c, g_raw - c
                     if rotate_180:
                         i, g, view = -i, -g, view[::-1, ::-1]
-                    target = out_dir / view_filename(i, g)
-                    with _GraymapWriter(target, count_h, count_v, maxval) as out:
-                        out.write(view)
+                    _write_graymap(out_dir / view_filename(i, g), count_h, count_v, maxval, [view])
     return m * m
 
 
-class _GraymapWriter:
-    """A binary (P5) graymap written one row block at a time: the one P5 writer.
+def _write_graymap(path: str | Path, width: int, height: int, maxval: int, blocks) -> None:
+    """Write a binary (P5) graymap from an iterable of row blocks: the one P5 writer.
 
-    The size and maxval are checked on construction, before the file is
-    opened on entering the context. Each block is checked against maxval,
-    then written in the file's sample type (big-endian for 16 bits): as it
-    stands when it already has that type and is contiguous, else converted
-    through one reused buffer. An error, or fewer rows than the height,
-    removes the file on leaving the context.
+    The size and maxval are checked before the file is opened. Each block is
+    checked against maxval, then written in the file's sample type
+    (big-endian for 16 bits): as it stands when it already has that type and
+    is contiguous, else converted through one reused buffer. An error, or a
+    row count other than the height, removes the file.
     """
+    _check_size(path, width, height)
+    _check_maxval(path, maxval)
+    path, dtype = Path(path), _body_dtype(maxval)
+    rows, buffer = 0, None
+    # Unbuffered: the header and each block go out in one write each, never
+    # copied through a file buffer.
+    with path.open("wb", buffering=0) as f:
+        try:
+            _write_all(f, f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+            for block in blocks:
+                if block.shape[1:] != (width,):
+                    raise ValueError(f"{path}: a {block.shape} block is not {width} wide")
+                _check_peak(path, block, maxval)
+                if block.dtype != dtype or not block.flags.c_contiguous:
+                    if buffer is None or len(buffer) < len(block):
+                        buffer = np.empty(block.shape, dtype)
+                    out = buffer[: len(block)]
+                    np.copyto(out, block, casting="unsafe")
+                    block = out
+                _write_all(f, block)
+                rows += len(block)
+            if rows != height:
+                raise ValueError(f"{path}: wrote {rows} of {height} rows")
+        except BaseException:
+            f.close()
+            path.unlink(missing_ok=True)
+            raise
 
-    def __init__(self, path: str | Path, width: int, height: int, maxval: int) -> None:
-        _check_size(path, width, height)
-        _check_maxval(path, maxval)
-        self.path, self.width, self.height, self.maxval = Path(path), width, height, maxval
-        self.dtype = _body_dtype(maxval)
-        self.rows = 0
-        self._buffer = None
 
-    def __enter__(self) -> "_GraymapWriter":
-        # Unbuffered: the header and each block go out in one write each,
-        # never copied through a file buffer.
-        self._file = self.path.open("wb", buffering=0)
-        self._write(f"P5\n{self.width} {self.height}\n{self.maxval}\n".encode("ascii"))
-        return self
-
-    def _write(self, data) -> None:
-        view = memoryview(data).cast("B")
-        while view:  # a raw write may take fewer bytes than it is given
-            view = view[self._file.write(view) :]
-
-    def write(self, block: np.ndarray) -> None:
-        if block.shape[1:] != (self.width,):
-            raise ValueError(f"{self.path}: a {block.shape} block is not {self.width} wide")
-        _check_peak(self.path, block, self.maxval)
-        if block.dtype != self.dtype or not block.flags.c_contiguous:
-            if self._buffer is None or len(self._buffer) < len(block):
-                self._buffer = np.empty(block.shape, self.dtype)
-            out = self._buffer[: len(block)]
-            np.copyto(out, block, casting="unsafe")
-            block = out
-        self._write(block)
-        self.rows += len(block)
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._file.close()
-        if exc_type is not None or self.rows != self.height:
-            self.path.unlink(missing_ok=True)
-        if exc_type is None and self.rows != self.height:
-            raise ValueError(f"{self.path}: wrote {self.rows} of {self.height} rows")
+def _write_all(f, data) -> None:
+    """Write every byte of data to the unbuffered file f."""
+    view = memoryview(data).cast("B")
+    while view:  # a raw write may take fewer bytes than it is given
+        view = view[f.write(view) :]
 
 
 def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) -> None:
@@ -373,10 +364,10 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
 
     The size and every sample are checked before the file is opened, one
     row block of at most 1 MiB at a time, so float checks make block-sized
-    temporaries only. The blocks then go through the P5 writer that
-    `plenax render` and `plenax extract` stream through, which converts them
-    to the file's sample type (big-endian for 16 bits) in one reused buffer,
-    so no frame-sized copy is made; the bytes are those of
+    temporaries only. The blocks then go to _write_graymap, the one P5
+    writer, which `plenax render` and `plenax extract` call too. It converts
+    them to the file's sample type (big-endian for 16 bits) in one reused
+    buffer, so no frame-sized copy is made; the bytes are those of
     astype(dtype).tofile.
 
     Args:
@@ -415,6 +406,4 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
     _check_maxval(path, maxval)
     if peak > maxval:
         raise ValueError(f"{path}: sample {peak} exceeds maxval {maxval}")
-    with _GraymapWriter(path, width, height, maxval) as out:
-        for block in blocks:
-            out.write(block)
+    _write_graymap(path, width, height, maxval, blocks)

@@ -43,22 +43,22 @@ from .lightfield import (
 from .optics import CameraConfig, derive_focus_state
 
 
-def _through_lenslet(h, u, lens, center_mm=0.0, toward_scene=False):
+def _through_lenslet(h, u, lens, toward_scene=False):
     """Trace (height, slope) through a MicroLensSpec.lens in traversal order.
 
     One surface, the reduced-thickness advance, then the other surface: the
     front first on the way to the sensor, the back first on the way to the
-    scene. Both surfaces are centred at center_mm. A thin lenslet has all
-    its power at the front and no thickness, so its back surface and advance
-    pass the ray through unchanged. Heights and slopes may be arrays; every
-    step then acts elementwise.
+    scene. Heights are measured from the lenslet's own axis. A thin lenslet
+    has all its power at the front and no thickness, so its back surface and
+    advance pass the ray through unchanged. Heights and slopes may be arrays;
+    every step then acts elementwise.
     """
     first, second = lens.power_front, lens.power_back
     if toward_scene:
         first, second = second, first
-    u = u - (h - center_mm) * first
+    u = u - h * first
     h = h + u * lens.reduced_thickness
-    u = u - (h - center_mm) * second
+    u = u - h * second
     return h, u
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import CameraConfig, FocusState
+from .optics import CameraConfig, FocusState, derive_focus_state
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,13 @@ def stereo_depth(rig: StereoRig, delta_x_mm: float | np.ndarray) -> float | np.n
     return float(depth) if depth.ndim == 0 else depth
 
 
-def _central_index(config: CameraConfig) -> float:
-    return (config.mla.count_h - 1) / 2.0
+def _check_state(state: FocusState, config: CameraConfig) -> None:
+    """Reject a focus state other than the camera's own, naming both b_u."""
+    if state != (own := derive_focus_state(config)):
+        raise ValueError(
+            f"focus state is another camera's: its b_u is {state.b_u_mm!r} mm, "
+            f"this camera's is {own.b_u_mm!r} mm"
+        )
 
 
 def object_ray(j: float, i: int, state: FocusState, config: CameraConfig) -> ChiefRay:
@@ -110,15 +115,22 @@ def object_ray(j: float, i: int, state: FocusState, config: CameraConfig) -> Chi
     object-side principal plane, positive toward the scene) to height.
 
     Raises:
-        ValueError: j outside [0, J), or |i| above the sensor's half span.
+        ValueError: j outside [0, J), |i| above the sensor's half span, or a
+            state other than derive_focus_state(config).
     """
+    _check_state(state, config)
+    return _object_ray(j, i, state, config)
+
+
+def _object_ray(j: float, i: int, state: FocusState, config: CameraConfig) -> ChiefRay:
+    """object_ray for a state already checked against config."""
     mla = config.mla
     if not 0 <= j < mla.count_h:
         raise ValueError(f"micro lens index {j} outside [0, {mla.count_h})")
     c = config.sensor.half_span
     if abs(i) > c:
         raise ValueError(f"viewpoint offset {i} outside [-{c}, {c}]")
-    s_j = (j - _central_index(config)) * mla.pitch_mm
+    s_j = (j - (mla.count_h - 1) / 2.0) * mla.pitch_mm
     mic = (s_j / state.d_ap_mm) * mla.focal_length_mm + s_j
     u = mic + i * config.sensor.pixel_pitch_mm
     m = (s_j - u) / mla.focal_length_mm
@@ -137,8 +149,10 @@ def entrance_pupil_distance(state: FocusState, config: CameraConfig) -> float:
     principal plane.
 
     Raises:
-        ValueError: Degenerate optics with the pupil at infinity.
+        ValueError: Degenerate optics with the pupil at infinity, or a state
+            other than derive_focus_state(config).
     """
+    _check_state(state, config)
     f_u = config.main_lens.focal_length_mm
     # delta is the focus-invariant offset between the exit pupil and the
     # image distance; see derive_focus_state.
@@ -228,25 +242,22 @@ def build_virtual_camera_array(state: FocusState, config: CameraConfig) -> Virtu
     the pupil plane, giving the pinhole position A_i; its slope gives the
     axis tilt. A virtual image plane 1 mm behind the pupil carries the
     projected pixel pitch p_n used to convert disparities to millimetres.
+    A state other than derive_focus_state(config) raises ValueError.
     """
-    z_pupil = entrance_pupil_distance(state, config)
-    o = _central_index(config)
+    z_pupil = entrance_pupil_distance(state, config)  # checks the state, once
+    o = (config.mla.count_h - 1) / 2.0
     c = config.sensor.half_span
 
     positions = []
     tilts = []
     for i in range(-c, c + 1):
-        ray = object_ray(o, i, state, config)
+        ray = _object_ray(o, i, state, config)
         positions.append(ray.height_at(z_pupil))
         tilts.append(math.atan(ray.slope))
 
-    # One sub-aperture pixel spans one micro lens; project the step from the
-    # central lens to its neighbour back onto the virtual image plane.
-    ray_o = object_ray(o, 0, state, config)
-    ray_o1 = object_ray(o + 1, 0, state, config)
-    n_o = -ray_o.slope + positions[c]
-    n_o1 = -ray_o1.slope + positions[c]
-    pitch_n = abs(n_o1 - n_o)
+    # One sub-aperture pixel spans one micro lens: the step from the central
+    # lens's axial ray to its neighbour's, on the plane 1 mm behind the pupil.
+    pitch_n = abs(_object_ray(o + 1, 0, state, config).slope)
 
     return VirtualCameraArray(
         positions_mm=tuple(positions),

@@ -84,11 +84,12 @@ def checker_lightfield(f197):
     return px.decode(raw)
 
 
-@pytest.fixture(scope="session")
-def smooth_lightfield(f197, tmp_path_factory):
-    # Seamless low-frequency tile: integer cycle counts keep the wrap
-    # continuous, and smooth gradients exercise the subpixel interpolation.
-    n = 512
+def smooth_tile(n):
+    """Seamless low-frequency n x n texture, 16-bit.
+
+    Integer cycle counts keep the wrap continuous, and smooth gradients
+    exercise the subpixel interpolation.
+    """
     yy, xx = np.mgrid[0:n, 0:n].astype(float) / n
     t = (
         0.30 * np.sin(2 * np.pi * (5 * xx + 0.11)) * np.cos(2 * np.pi * 7 * yy)
@@ -97,8 +98,14 @@ def smooth_lightfield(f197, tmp_path_factory):
         + 0.20 * np.cos(2 * np.pi * 4 * (xx + yy))
     )
     t = (t - t.min()) / (t.max() - t.min())
+    return np.round(t * 65535).astype(np.uint16)
+
+
+@pytest.fixture(scope="session")
+def smooth_lightfield(f197, tmp_path_factory):
+    n = 512
     tile_dir = tmp_path_factory.mktemp("texture")
-    px.write_pgm(tile_dir / "tile.pgm", np.round(t * 65535).astype(np.uint16), maxval=65535)
+    px.write_pgm(tile_dir / "tile.pgm", smooth_tile(n), maxval=65535)
     mm_per_px = 10.0 * f197.grid_mm * 11 / n
     plane = px.ScenePlane(
         depth_mm=CHECKER_DEPTH_MM, texture="file", argument_mm=mm_per_px, path="tile.pgm"

@@ -89,8 +89,8 @@ def test_oracle_takes_only_the_camera(name, params):
 # Private names one plenax module takes from another, as (importer, name).
 # New coupling shows up here as a diff, as a new public name does above.
 PRIVATE_IMPORTS = [
-    ("cli", "lightfield._GraymapWriter"),
     ("cli", "lightfield._extract_pgm"),
+    ("cli", "lightfield._write_graymap"),
     ("cli", "oracle._render_rows"),
     ("oracle", "lightfield._BLOCK_BYTES"),
     ("oracle", "lightfield._body_dtype"),

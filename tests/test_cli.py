@@ -11,6 +11,7 @@ import plenax as px
 from plenax import oracle
 from plenax.cli import main
 
+from conftest import smooth_tile
 from test_disparity import _reference_block_match
 
 
@@ -193,15 +194,7 @@ class TestRenderExtractPipeline:
         text = re.sub(r"^lenses_h = \d+$", "lenses_h = 81", text, flags=re.M)
         cfg = tmp_path / "small.cfg"
         cfg.write_text(re.sub(r"^lenses_v = \d+$", "lenses_v = 61", text, flags=re.M))
-        yy, xx = np.mgrid[0:256, 0:256] / 256
-        tile = (
-            0.30 * np.sin(2 * np.pi * (5 * xx + 0.11)) * np.cos(2 * np.pi * 7 * yy)
-            + 0.25 * np.sin(2 * np.pi * (11 * xx + 0.37))
-            + 0.25 * np.cos(2 * np.pi * (9 * yy + 0.21)) * np.sin(2 * np.pi * 3 * xx)
-            + 0.20 * np.cos(2 * np.pi * 4 * (xx + yy))
-        )
-        tile = np.round((tile - tile.min()) / (tile.max() - tile.min()) * 65535)
-        px.write_pgm(tmp_path / "tile.pgm", tile, maxval=65535)
+        px.write_pgm(tmp_path / "tile.pgm", smooth_tile(256), maxval=65535)
         depth_mm, gap, bound_px = 1100.0, 1, 0.15
         scene = tmp_path / "scene.txt"
         scene.write_text(f"plane {depth_mm} file tile.pgm 0.12\n")

@@ -1,8 +1,10 @@
 """Raw mosaic decoding, view extraction, and PGM round trips."""
 
+import contextlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,17 +302,36 @@ class TestGraymapWriter:
     def test_rows_short_of_the_height_remove_the_file(self, tmp_path):
         path = tmp_path / "short.pgm"
         with pytest.raises(ValueError, match=r"short\.pgm: wrote 2 of 3 rows"):
-            with px.lightfield._GraymapWriter(path, 4, 3, 255) as out:
-                out.write(np.zeros((2, 4), np.uint8))
+            px.lightfield._write_graymap(path, 4, 3, 255, [np.zeros((2, 4), np.uint8)])
         assert not path.exists()
 
     def test_a_block_above_maxval_stops_the_stream(self, tmp_path):
         path = tmp_path / "over.pgm"
         with pytest.raises(ValueError, match=r"over\.pgm: sample 1001 exceeds maxval 1000"):
-            with px.lightfield._GraymapWriter(path, 2, 2, 1000) as out:
-                out.write(np.array([[0, 1000]], np.uint16))
-                out.write(np.array([[1001, 0]], np.uint16))
+            blocks = [np.array([[0, 1000]], np.uint16), np.array([[1001, 0]], np.uint16)]
+            px.lightfield._write_graymap(path, 2, 2, 1000, blocks)
         assert not path.exists()
+
+    def test_an_interrupt_mid_stream_removes_the_file(self, tmp_path):
+        def blocks():
+            yield np.zeros((1, 4), np.uint8)
+            raise KeyboardInterrupt
+
+        path = tmp_path / "cut.pgm"
+        with pytest.raises(KeyboardInterrupt):
+            px.lightfield._write_graymap(path, 4, 3, 255, blocks())
+        assert not path.exists()
+
+    @pytest.mark.parametrize("width, maxval, message", [
+        pytest.param(0, 255, "width 0 must be positive", id="size"),
+        pytest.param(4, 65536, "maxval 65536 outside", id="maxval"),
+    ])
+    def test_a_bad_header_leaves_an_existing_file(self, tmp_path, width, maxval, message):
+        path = tmp_path / "kept.pgm"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=message):
+            px.lightfield._write_graymap(path, width, 3, maxval, [])
+        assert path.read_bytes() == b"kept"
 
 
 @st.composite
@@ -512,31 +533,38 @@ class TestStreamedExtract:
             cfg, raw, views = rig_file(tmp_path, 5, 7, 4), tmp_path / "raw.pgm", 25
             px.write_pgm(raw, np.random.default_rng(3).integers(0, 1001, size=(20, 35)), 1000)
             monkeypatch.setattr(px.lightfield, "_BLOCK_BYTES", 5 * 35 * 2)
-        writer = px.lightfield._GraymapWriter
-        enter, leave, write, put = writer.__enter__, writer.__exit__, writer.write, writer._write
+        lightfield = px.lightfield
+        write_graymap, write_all, path_open = (
+            lightfield._write_graymap, lightfield._write_all, Path.open
+        )
         blocks, os_writes, open_now, most_open = {}, [], set(), []
 
-        def counted_enter(self):
-            open_now.add(self.path)
+        def counted_write_graymap(path, width, height, maxval, parts):
+            parts, name = list(parts), Path(path).name
+            blocks[name] = blocks.get(name, 0) + len(parts)
+            write_graymap(path, width, height, maxval, parts)
+
+        def counted_write_all(f, data):
+            os_writes.append(f.name)
+            write_all(f, data)
+
+        @contextlib.contextmanager
+        def counted(path, f):
+            open_now.add(path)
             most_open.append(len(open_now))
-            return enter(self)
+            try:
+                with f:
+                    yield f
+            finally:
+                open_now.discard(path)
 
-        def counted_exit(self, *exc):
-            open_now.discard(self.path)
-            return leave(self, *exc)
+        def counted_open(self, mode="r", *args, **kwargs):
+            f = path_open(self, mode, *args, **kwargs)
+            return counted(self, f) if "w" in mode else f
 
-        def counted_write(self, block):
-            blocks[self.path.name] = blocks.get(self.path.name, 0) + 1
-            write(self, block)
-
-        def counted_put(self, data):
-            os_writes.append(self.path.name)
-            put(self, data)
-
-        monkeypatch.setattr(writer, "__enter__", counted_enter)
-        monkeypatch.setattr(writer, "__exit__", counted_exit)
-        monkeypatch.setattr(writer, "write", counted_write)
-        monkeypatch.setattr(writer, "_write", counted_put)
+        monkeypatch.setattr(lightfield, "_write_graymap", counted_write_graymap)
+        monkeypatch.setattr(lightfield, "_write_all", counted_write_all)
+        monkeypatch.setattr(Path, "open", counted_open)
         flags = ["--rotate-180"] if rotate else []
         assert main(["extract", cfg, str(raw), str(tmp_path / "v"), *flags]) == 0
         assert sorted(blocks) == sorted(p.name for p in (tmp_path / "v").iterdir())

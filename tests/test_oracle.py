@@ -32,8 +32,6 @@ class TestTraceElements:
         h, u = _through_lenslet(2.0, 0.0, _thin(2.0))
         assert h == 2.0
         assert u == -1.0
-        _, shifted = _through_lenslet(2.0, 0.0, _thin(2.0), center_mm=2.0)
-        assert shifted == 0.0
 
     def test_arrays_broadcast(self):
         heights = np.array([0.0, 1.0, 2.0])
@@ -65,7 +63,9 @@ class TestLensletElements:
         assert -h / u == pytest.approx(2.75, rel=1e-12)
 
     def test_decentred_lenslet_leaves_central_ray_straight(self):
-        _, u = _through_lenslet(0.5, 0.0, _thin(2.75), center_mm=0.5)
+        # Heights are taken from each lenslet's own axis, so a ray along a
+        # decentred lenslet's axis enters at height 0.
+        _, u = _through_lenslet(0.0, 0.0, _thin(2.75))
         assert u == 0.0
 
 

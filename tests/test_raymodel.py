@@ -2,21 +2,24 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import plenax as px
+from plenax import raymodel
 
 
 def _lens_and_slope(f197, j, i):
     """Lenslet height s_j and image-side slope m of sample (j, i).
 
     With the image distance set to zero the object ray's intercept is s_j,
-    exactly; adding the main lens's power back to its slope gives m.
+    exactly; adding the main lens's power back to its slope gives m. Such
+    a state is no camera's own, so the chain is taken unchecked.
     """
     state = dataclasses.replace(f197.state, b_u_mm=0.0)
-    ray = px.object_ray(j, i, state, f197.config)
+    ray = raymodel._object_ray(j, i, state, f197.config)
     s_j = ray.intercept_mm
     return s_j, ray.slope + s_j / f197.config.main_lens.focal_length_mm
 
@@ -86,6 +89,25 @@ class TestChiefRayChain:
         ray = px.object_ray(140, 0, f197.state, f197.config)
         assert ray.slope == 0.0
         assert ray.intercept_mm == 0.0
+
+
+class TestFocusStateCheck:
+    @pytest.mark.parametrize("call", [
+        pytest.param(px.build_virtual_camera_array, id="array"),
+        pytest.param(px.entrance_pupil_distance, id="pupil"),
+        pytest.param(lambda state, config: px.object_ray(0, 0, state, config), id="ray"),
+    ])
+    def test_another_cameras_state_is_rejected(self, configs, states, call):
+        # The infinity-focus state on the 3 m camera used to triangulate
+        # gap 1, dx 1 to 978.215 mm; the camera's own state gives 877.907.
+        config, own = configs["f193_mla2_3m"], states["f193_mla2_3m"]
+        other = states["f193_mla2_inf"]
+        message = f"its b_u is {other.b_u_mm!r} mm, this camera's is {own.b_u_mm!r} mm"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(other, config)
+        array = px.build_virtual_camera_array(own, config)
+        distance = px.triangulate(array, px.TriangulationQuery(1, 1.0))
+        assert distance == pytest.approx(877.907, abs=1e-3)
 
 
 class TestEntrancePupil:
