@@ -20,7 +20,10 @@ geometric slope.
 The same machinery renders synthetic raw images: textured frontal planes are
 sampled along every traced chief ray and assembled into the mosaic layout
 that lightfield.decode expects, which gives the matching pipeline a ground
-truth with a known disparity.
+truth with a known disparity. Every texture is one integer image, quantized
+once onto the raw's range: a file texture is its graymap, a checker the 2x2
+image [[0, 1], [1, 0]]. Both are tiled and sampled nearest-neighbour by the
+same rule, _texel.
 """
 
 from __future__ import annotations
@@ -238,8 +241,9 @@ def simulate_distance(config: CameraConfig, gap: int, delta_x_px: float) -> floa
 class ScenePlane:
     """Textured frontal plane at depth_mm in front of the entrance pupil.
 
-    texture is "checker" (argument_mm = square period) or "file" (a graymap
-    sampled nearest-neighbour with argument_mm per texture pixel, tiled).
+    Either texture is one image, tiled with argument_mm per texel and
+    sampled nearest-neighbour: "file" is the graymap at path, "checker" the
+    2x2 image [[0, 1], [1, 0]], so argument_mm is its square period.
     band, when set, restricts the plane to x in [band[0], band[1]] mm and
     leaves everything outside transparent.
     """
@@ -304,51 +308,31 @@ def parse_scene(text: str) -> tuple[ScenePlane, ...]:
     return tuple(planes)
 
 
-def _texture_sampler(plane: ScenePlane, base_dir: Path | None):
-    """Build columns(x) -> (index, width, table_rows) for the texture.
+def _texture_image(plane: ScenePlane, base_dir: Path | None, maxval: int) -> np.ndarray:
+    """The plane's texture quantized onto 0..maxval in a P5 body's sample type.
 
-    Both textures are separable: the value at (x[k], y[r]) is
-    table_rows(y)[r, index[k]], where table_rows(y) has one row per y and
-    width columns, a few for the checker. The column work runs once per x;
-    each block of rows y then costs one small table.
+    A file texture is its graymap over its own maxval. A checker's colour
+    is |parity(y) - parity(x)| of its cell indices: the 2x2 image below.
     """
     if plane.texture == "checker":
-        period = plane.argument_mm
+        image = np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        path = Path(plane.path)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        samples, file_maxval = read_pgm(path)
+        image = samples.astype(np.float64)
+        image /= file_maxval  # in place: one float copy of the texture, not two
+    return _quantize(image, maxval).astype(_body_dtype(maxval), copy=False)
 
-        def columns(x):
-            # floor(x/p) + floor(y/p) is odd exactly when one of the two
-            # whole-valued cell indices is odd, so the cell colour is
-            # |parity(y) - parity(x)|: column k of the table holds the
-            # colour for x parity k.
-            x_parity = np.floor(x / period) % 2.0
 
-            def table_rows(y):
-                y_parity = np.floor(y / period) % 2.0
-                return np.abs(y_parity[:, None] - np.array([0.0, 1.0]))
+def _texel(coords: np.ndarray, scale: float, count: int) -> np.ndarray:
+    """Tiled texel index of each coordinate: floor(coords / scale) mod count.
 
-            return x_parity.astype(np.int64), 2, table_rows
-
-        return columns
-
-    path = Path(plane.path)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    samples, maxval = read_pgm(path)
-    image = samples.astype(np.float64)
-    image /= maxval  # in place: one float copy of the texture, not two
-    scale = plane.argument_mm
-
-    def columns(x):
-        col = np.floor(x / scale).astype(np.int64) % image.shape[1]
-        used, index = np.unique(col, return_inverse=True)
-
-        def table_rows(y):
-            row = np.floor(y / scale).astype(np.int64) % image.shape[0]
-            return image[np.ix_(row, used)]
-
-        return index, len(used), table_rows
-
-    return columns
+    The remainder is taken in float64, where it is exact, so a coordinate
+    far beyond int64's range in texels still maps to a valid texel.
+    """
+    return (np.floor(coords / scale) % count).astype(np.int64)
 
 
 def render_synthetic_scene(
@@ -360,14 +344,15 @@ def render_synthetic_scene(
 ) -> RawLightFieldImage:
     """Project textured planes through every viewpoint into a raw mosaic.
 
-    Each raw pixel holds the texture value where its traced chief ray meets
-    the nearest plane covering it; rays that miss every plane get the
-    background value. Values in [0, 1] are quantized onto 0..maxval as
-    rint(clip(v, 0, 1) * maxval), so the raw comes back as integers, uint16
-    when maxval > 255 and uint8 otherwise: the samples a P5 graymap of that
-    maxval holds. Inverse of lightfield.decode by construction: sample
-    (i, g) under lenslet column j, row h lands at mosaic position
-    (h * m + c + g, j * m + c + i). The raw is filled from the row blocks
+    Each raw pixel holds the texel where its traced chief ray meets the
+    nearest plane covering it; rays that miss every plane get the
+    background value. The texture values (a file texture's samples over its
+    own maxval, a checker's 0 and 1) and the background are quantized once,
+    before sampling, onto 0..maxval as rint(clip(v, 0, 1) * maxval), so the
+    raw comes back as integers, uint16 when maxval > 255 and uint8
+    otherwise: the samples a P5 graymap of that maxval holds. Inverse of
+    lightfield.decode by construction: sample (i, g) under lenslet column
+    j, row h lands at mosaic position (h * m + c + g, j * m + c + i). The raw is filled from the row blocks
     `plenax render` writes as they come.
     """
     blocks = _render_rows(config, planes, base_dir, background, maxval)
@@ -389,7 +374,7 @@ def _render_rows(
 ):
     """render_synthetic_scene's raw as an iterator of row blocks, top to bottom.
 
-    The rays are traced, the textures loaded and the column work done
+    The textures are loaded, the rays traced and the column work done
     before this returns, so a bad scene fails before anything is written.
     Each block is a (rows, width) view of one reused buffer of at most
     _BLOCK_BYTES, in a P5 body's sample type (big-endian for 16 bits), so a
@@ -398,7 +383,7 @@ def _render_rows(
     _check_maxval("render_synthetic_scene", maxval)
     planes = sorted(planes, key=lambda p: p.depth_mm)
     base = Path(base_dir) if base_dir is not None else None
-    samplers = [_texture_sampler(p, base) for p in planes]
+    images = [_texture_image(p, base, maxval) for p in planes]
 
     pupil_z = simulate_virtual_cameras(config).entrance_pupil_to_h1_mm
     c = config.sensor.half_span
@@ -425,14 +410,14 @@ def _render_rows(
         _lens_columns(cols[p], m)[...] = qx * z_plane + ux
         _lens_columns(rows[p], m)[...] = qy * z_plane + uy
 
-    # Every mosaic column takes its texture from the nearest plane covering
-    # it, so each row block is one column gather from the planes' stacked
-    # tables. Table column 0 is the background. Quantizing the small table
-    # before the gather gives the same integers as quantizing the gathered
-    # frame, and building it per row block changes no element either.
+    # Every mosaic column takes its texel from the nearest plane covering
+    # it, so each row block is one column gather from a table of the
+    # planes' quantized texels. Table column 0 is the background; each
+    # plane adds the texel columns it uses, once, and each block takes
+    # their rows.
     index = np.zeros(width, dtype=np.int64)
     owned = np.zeros(width, dtype=bool)
-    parts = []  # (plane's row coordinates, first table column, table width, table_rows)
+    parts = []  # (plane's texel rows, first table column, its used texel columns)
     table_width = 1
     for p, plane in enumerate(planes):
         free = ~owned
@@ -440,27 +425,29 @@ def _render_rows(
             free &= (cols[p] >= plane.band[0]) & (cols[p] <= plane.band[1])
         owned |= free
         if free.any():
-            plane_index, plane_width, table_rows = samplers[p](cols[p, free])
+            image = images[p]
+            texel_cols = _texel(cols[p, free], plane.argument_mm, image.shape[1])
+            used, plane_index = np.unique(texel_cols, return_inverse=True)
             index[free] = table_width + plane_index
-            parts.append((rows[p], table_width, plane_width, table_rows))
-            table_width += plane_width
+            texel_rows = _texel(rows[p], plane.argument_mm, image.shape[0])
+            parts.append((texel_rows, table_width, image[:, used]))
+            table_width += len(used)
 
     dtype = _body_dtype(maxval)
-    step = max(1, _BLOCK_BYTES // max(width * dtype.itemsize, table_width * 8))
-    table = np.empty((min(step, height), table_width))
+    step = max(1, _BLOCK_BYTES // (max(width, table_width) * dtype.itemsize))
+    table = np.empty((min(step, height), table_width), dtype)
+    table[:, 0] = _quantize(np.array([background], dtype=np.float64), maxval)
     out = np.empty((min(step, height), width), dtype)
 
     def blocks():
         for start in range(0, height, step):
             stop = min(start + step, height)
             block = table[: stop - start]
-            block[:, 0] = background
-            for y, first, plane_width, table_rows in parts:
-                block[:, first : first + plane_width] = table_rows(y[start:stop])
+            for texel_rows, first, texels in parts:
+                block[:, first : first + texels.shape[1]] = texels[texel_rows[start:stop]]
             # Every index is valid, and the table has out's type: mode="clip"
             # then spares take a buffered copy of out.
-            quantized = _quantize(block, maxval).astype(dtype, copy=False)
-            yield np.take(quantized, index, axis=1, out=out[: stop - start], mode="clip")
+            yield np.take(block, index, axis=1, out=out[: stop - start], mode="clip")
 
     return blocks()
 

@@ -5,8 +5,8 @@ package. The reference tables below hold the values each fixture must
 reproduce: focus solutions, lenslet cardinal points, viewpoint baselines
 and tilts, and triangulated distances for known disparities. They are the
 data behind the verify command; each entry carries its own measure, a
-function of the camera, its focus state and its viewpoint array, and its
-own tolerance.
+function of the camera and its viewpoint array, and its own tolerance.
+The focus checks solve the camera's focus themselves.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def load_fixture(name: str) -> CameraConfig:
 class ReferenceCheck:
     """One factory value: how to measure it, what to expect, how closely.
 
-    measure(config, state, array) returns the value, or None when the camera
-    lacks what it needs; the check is then skipped with skip_note.
+    measure(config, array) returns the value, or None when the camera lacks
+    what it needs; the check is then skipped with skip_note.
     """
 
     label: str
@@ -67,8 +67,13 @@ class CheckOutcome:
 
 def _focus(b_u: float, d_ap: float) -> list[ReferenceCheck]:
     return [
-        ReferenceCheck("image distance b_U", lambda cfg, st, arr: st.b_u_mm, b_u, 5e-4),
-        ReferenceCheck("exit pupil distance d_A'", lambda cfg, st, arr: st.d_ap_mm, d_ap, 5e-4),
+        ReferenceCheck(
+            "image distance b_U", lambda cfg, arr: derive_focus_state(cfg).b_u_mm, b_u, 5e-4
+        ),
+        ReferenceCheck(
+            "exit pupil distance d_A'", lambda cfg, arr: derive_focus_state(cfg).d_ap_mm,
+            d_ap, 5e-4,
+        ),
     ]
 
 
@@ -76,11 +81,11 @@ def _mla(f_s: float) -> list[ReferenceCheck]:
     return [
         # The lenslet's thick-lens model; f_s itself for a thin lenslet.
         ReferenceCheck(
-            "lenslet focal length", lambda cfg, st, arr: cfg.mla.lens.focal_length, f_s, 1e-3
+            "lenslet focal length", lambda cfg, arr: cfg.mla.lens.focal_length, f_s, 1e-3
         ),
         ReferenceCheck(
             "lenslet principal plane gap",
-            lambda cfg, st, arr: (
+            lambda cfg, arr: (
                 None if cfg.mla.thickness_mm is None else cfg.mla.lens.principal_gap
             ),
             0.396, 1e-3, skip_note="skipped: no lens prescription to derive it from",
@@ -92,11 +97,11 @@ def _pair(gap: int, b: float | None = None, phi_deg: float | None = None) -> lis
     checks = []
     if b is not None:
         checks.append(ReferenceCheck(
-            f"baseline B_{gap}", lambda cfg, st, arr: arr.pair(gap).baseline_mm, b, 5e-4
+            f"baseline B_{gap}", lambda cfg, arr: arr.pair(gap).baseline_mm, b, 5e-4
         ))
     if phi_deg is not None:
         checks.append(ReferenceCheck(
-            f"tilt Phi_{gap}", lambda cfg, st, arr: math.degrees(arr.pair(gap).tilt_rad),
+            f"tilt Phi_{gap}", lambda cfg, arr: math.degrees(arr.pair(gap).tilt_rad),
             phi_deg, 5e-4,
         ))
     return checks
@@ -105,7 +110,7 @@ def _pair(gap: int, b: float | None = None, phi_deg: float | None = None) -> lis
 def _rounded_baseline(gap: int, b: float) -> ReferenceCheck:
     """A baseline quoted to 4 decimals, which it must match exactly."""
     return ReferenceCheck(
-        f"baseline B_{gap}", lambda cfg, st, arr: round(arr.pair(gap).baseline_mm, 4), b, 0.0
+        f"baseline B_{gap}", lambda cfg, arr: round(arr.pair(gap).baseline_mm, 4), b, 0.0
     )
 
 
@@ -114,14 +119,16 @@ def _dist(dx: float, z: float, tolerance: float = 1e-4, relative: bool = True) -
     return ReferenceCheck(
         f"distance, gap 1, disparity {dx:g} px",
         # Looked up per call, so a wrapped raymodel.triangulate sees the call.
-        lambda cfg, st, arr: raymodel.triangulate(arr, query), z, tolerance, relative,
+        lambda cfg, arr: raymodel.triangulate(arr, query), z, tolerance, relative,
     )
 
 
 def _front_pupil(expected: float) -> ReferenceCheck:
-    def measure(cfg, st, arr):
+    def measure(cfg, arr):
         v1h1 = cfg.main_lens.front_vertex_to_h1_mm
-        return None if v1h1 is None else v1h1 + raymodel.entrance_pupil_distance(st, cfg)
+        if v1h1 is None:
+            return None
+        return v1h1 + raymodel.entrance_pupil_distance(derive_focus_state(cfg), cfg)
 
     return ReferenceCheck(
         "front vertex to entrance pupil", measure, expected, 1e-6,
@@ -190,8 +197,8 @@ REFERENCE_VALUES: dict[str, tuple[ReferenceCheck, ...]] = {
 }
 
 
-def _evaluate(check: ReferenceCheck, config: CameraConfig, state, array) -> CheckOutcome:
-    got = check.measure(config, state, array)
+def _evaluate(check: ReferenceCheck, config: CameraConfig, array) -> CheckOutcome:
+    got = check.measure(config, array)
     if got is None:
         return CheckOutcome(
             check.label, check.expected, math.nan, check.tolerance, True, check.skip_note
@@ -216,9 +223,8 @@ def run_factory_checks(name: str, config: CameraConfig | None = None) -> list[Ch
         raise KeyError(f"no reference values for {name!r} (known: {known})")
     if config is None:
         config = load_fixture(name)
-    state = derive_focus_state(config)
-    array = raymodel.build_virtual_camera_array(state, config)
-    return [_evaluate(check, config, state, array) for check in REFERENCE_VALUES[name]]
+    array = raymodel.build_virtual_camera_array(derive_focus_state(config), config)
+    return [_evaluate(check, config, array) for check in REFERENCE_VALUES[name]]
 
 
 def run_consistency_checks(config: CameraConfig) -> list[CheckOutcome]:

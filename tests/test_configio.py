@@ -69,6 +69,15 @@ class TestParseConfig:
 
 
 class TestSchemaErrors:
+    def test_duplicate_key_names_the_line(self):
+        text = VALID.replace("pitch_mm = 0.125\n", "pitch_mm = 0.125\npitch_mm = 0.125\n")
+        with pytest.raises(ConfigError) as info:
+            px.parse_config(text)
+        assert str(info.value) == (
+            "<config>: While reading from '<config>' [line  9]: "
+            "option 'pitch_mm' in section 'mla' already exists"
+        )
+
     def test_unknown_key_lists_allowed(self):
         text = VALID + "pixel_size = 1\n"
         with pytest.raises(ConfigError, match="pixel_size"):

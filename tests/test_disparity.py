@@ -691,3 +691,28 @@ class TestGraymap:
     def test_constant_map_maps_to_mid_scale(self):
         g = px.to_graymap(np.full((2, 2), 3.7))
         assert np.all(g == 32767)
+
+    def test_all_nan_grid_maps_to_zeros(self):
+        g = px.to_graymap(np.full((2, 3), np.nan))
+        assert g.dtype == np.uint16
+        assert g.tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
+class TestShapeChecks:
+    def test_block_match_rejects_three_dimensional_views(self):
+        views = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError) as info:
+            px.block_match(views, views, px.MatchParams())
+        assert str(info.value) == "views must be 2-D, got shape (2, 3, 4)"
+
+    def test_read_map_csv_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2\n3\n")
+        with pytest.raises(ValueError) as info:
+            px.read_map_csv(path)
+        assert str(info.value) == f"{path}: ragged rows with widths [1, 2]"
+
+    def test_disparity_map_must_be_two_dimensional(self):
+        with pytest.raises(ValueError) as info:
+            px.DisparityMap(values=np.zeros(5))
+        assert str(info.value) == "values must be 2-D, got shape (5,)"

@@ -33,6 +33,8 @@ class TestDecode:
     def test_shape_validation(self, small_config):
         with pytest.raises(ValueError):
             px.RawLightFieldImage(samples=np.zeros((19, 35)), config=small_config)
+        with pytest.raises(ValueError, match=r"^samples must be 2-D, got shape \(5,\)$"):
+            px.RawLightFieldImage(samples=np.zeros(5), config=small_config)
 
     def test_round_trip_bit_exact(self, small_raw):
         views = px.decode(small_raw)
@@ -332,6 +334,20 @@ class TestGraymapWriter:
         with pytest.raises(ValueError, match=message):
             px.lightfield._write_graymap(path, width, 3, maxval, [])
         assert path.read_bytes() == b"kept"
+
+    def test_a_block_of_the_wrong_width_removes_the_file(self, tmp_path):
+        path = tmp_path / "narrow.pgm"
+        with pytest.raises(ValueError) as info:
+            px.lightfield._write_graymap(path, 4, 2, 255, [np.zeros((2, 3), np.uint8)])
+        assert str(info.value) == f"{path}: a (2, 3) block is not 4 wide"
+        assert not path.exists()
+
+    def test_write_pgm_rejects_a_non_2d_array(self, tmp_path):
+        path = tmp_path / "cube.pgm"
+        with pytest.raises(ValueError) as info:
+            px.write_pgm(path, np.zeros((2, 2, 2), np.uint8))
+        assert str(info.value) == f"{path}: samples must be 2-D, got shape (2, 2, 2)"
+        assert not path.exists()
 
 
 @st.composite

@@ -165,6 +165,17 @@ class TestSpecs:
             px.MicroLensSpec(focal_length_mm=0.0, pitch_mm=0.125, count_h=3, count_v=3)
         with pytest.raises(ValueError):
             px.MicroLensSpec(focal_length_mm=1.25, pitch_mm=0.125, count_h=0, count_v=3)
+        with pytest.raises(ValueError, match=r"^count_v must be >= 1, got 0$"):
+            px.MicroLensSpec(focal_length_mm=1.25, pitch_mm=0.125, count_h=3, count_v=0)
+
+    def test_prescription_must_agree_with_focal_length(self):
+        # The prescription gives 1.25 mm, and 1e-3 mm is the allowed slack.
+        message = (
+            r"^prescription yields focal length 1\.250000 mm, "
+            r"disagreeing with focal_length_mm=2\.0$"
+        )
+        with pytest.raises(ValueError, match=message):
+            px.MicroLensSpec(2.0, 0.125, 3, 3, 1.1, 1.5626, 0.70325, -math.inf)
 
     def test_prescription_alone_sets_focal_length_and_gap(self):
         prescription = (1.1, 1.5626, 0.70325, -math.inf)

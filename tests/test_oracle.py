@@ -4,6 +4,7 @@ import math
 import re
 import string
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from plenax.oracle import (
     _chief_rays,
     _intersect,
     _quantize,
-    _texture_sampler,
+    _texel,
+    _texture_image,
     _through_lenslet,
 )
 
@@ -285,6 +287,10 @@ class TestSimulateDistance:
             config, 3, 1.0
         )
 
+    def test_non_finite_disparity_rejected(self, configs):
+        with pytest.raises(ValueError, match=r"^delta_x must be finite, got nan$"):
+            px.simulate_distance(configs["f197_mla2_inf"], 1, math.nan)
+
 
 class TestGeneratedRigTriangulation:
     @settings(max_examples=200, deadline=None)
@@ -384,6 +390,14 @@ def scene_lines(draw):
 
 
 class TestSceneParsing:
+    def test_plane_rejects_an_unknown_texture(self):
+        with pytest.raises(ValueError, match=r"^unknown texture 'wood'$"):
+            px.ScenePlane(depth_mm=1000.0, texture="wood", argument_mm=1.0)
+
+    def test_file_texture_needs_a_path(self):
+        with pytest.raises(ValueError, match=r"^file texture needs a path$"):
+            px.ScenePlane(depth_mm=1000.0, texture="file", argument_mm=1.0)
+
     def test_checker_and_file_planes(self):
         planes = px.parse_scene(
             "# a scene\n"
@@ -471,10 +485,11 @@ class TestRenderer:
         assert (raw.samples == np.rint(0.25 * 65535)).any()
 
     def test_traced_allocation_peak(self, f197, tmp_path):
-        # Quantizing the texture tables before the column gather, one row
-        # block at a time, leaves the 17.9 MB integer raw as the only
+        # Quantizing each texture once and gathering its texels one row
+        # block at a time leaves the 17.9 MB integer raw as the only
         # frame-sized allocation. Gathering a float frame first peaked at
-        # 93.9 MB on this scene, whole-frame tables at 25.0 MB; now 22.5 MB.
+        # 93.9 MB on this scene, whole-frame tables at 25.0 MB, per-block
+        # float tables at 22.5 MB; now 19.8 MB.
         planes = _two_plane_scene(tmp_path)
         tracemalloc.start()
         try:
@@ -483,12 +498,12 @@ class TestRenderer:
         finally:
             tracemalloc.stop()
         assert raw.samples.dtype == np.uint16
-        assert peak < 23e6
+        assert peak < 21e6
 
     def test_cli_render_streams_the_library_raw(self, f197, tmp_path):
-        # `plenax render` writes each row block as it is made: 4.9 MB traced
+        # `plenax render` writes each row block as it is made: 3.9 MB traced
         # on this scene, where holding the raw and frame-tall tables took
-        # 21.6 MB. Its bytes are write_pgm's of the library's raw.
+        # 21.6 MB and per-block float tables 4.9 MB. Its bytes are write_pgm's of the library's raw.
         planes = _two_plane_scene(tmp_path)
         scene = tmp_path / "scene.txt"
         scene.write_text(
@@ -502,7 +517,7 @@ class TestRenderer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 5e6
         raw = px.render_synthetic_scene(f197.config, planes, base_dir=tmp_path)
         px.write_pgm(tmp_path / "want.pgm", raw.samples, maxval=65535)
         assert out.read_bytes() == (tmp_path / "want.pgm").read_bytes()
@@ -567,11 +582,13 @@ class TestTextureSamplers:
         ])
         y = np.concatenate([edges[::-1], np.nextafter(edges, -np.inf), [-0.0, 1e-300]])
         plane = px.ScenePlane(depth_mm=1000.0, texture="checker", argument_mm=period)
-        index, width, table_rows = _texture_sampler(plane, None)(x)
-        table = table_rows(y)
-        assert table.shape == (len(y), width)
-        got = table[:, index]
-        assert got.tobytes() == dense_checker(x, y, period).tobytes()
+        image = _texture_image(plane, None, 65535)
+        assert image.shape == (2, 2)
+        got = image[np.ix_(_texel(y, period, 2), _texel(x, period, 2))]
+        # Quantizing onto 0..65535 keeps every colour apart: 0 and 1 become
+        # 0 and 65535 in the P5 body's sample type.
+        dense = (dense_checker(x, y, period) * 65535).astype(">u2")
+        assert got.tobytes() == dense.tobytes()
 
     def test_file_texture_matches_dense_lookup(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -583,14 +600,33 @@ class TestTextureSamplers:
         )
         x = np.linspace(-9.0, 9.0, 53)
         y = np.linspace(-4.0, 6.0, 29)
-        index, width, table_rows = _texture_sampler(plane, tmp_path)(x)
-        table = table_rows(y)
-        assert table.shape == (len(y), width)
+        texels = _texture_image(plane, tmp_path, 65535)
+        assert texels.shape == (7, 11)
+        got = texels[np.ix_(_texel(y, scale, 7), _texel(x, scale, 11))]
         col = np.floor(x / scale).astype(np.int64) % 11
         row = np.floor(y / scale).astype(np.int64) % 7
-        dense = (image / 255.0)[row[:, None], col[None, :]]
-        assert table.shape[1] <= 11
-        assert table[:, index].tobytes() == dense.tobytes()
+        # An 8-bit sample v quantizes onto 0..65535 as v * 257.
+        dense = (image * 257)[row[:, None], col[None, :]].astype(">u2")
+        assert got.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("texture", ["file", "checker"])
+    def test_tiny_texel_scale_renders_texture_values(self, f197, tmp_path, texture):
+        # At 1e-20 mm per texel the texel indices pass int64's range; the
+        # remainder is taken before the cast, so no cast overflows and every
+        # raw sample is one of the texture's values.
+        tile = np.random.default_rng(9).integers(1, 255, size=(7, 11))
+        px.write_pgm(tmp_path / "tile.pgm", tile, maxval=255)
+        plane = px.ScenePlane(
+            depth_mm=1000.0, texture=texture, argument_mm=1e-20,
+            path="tile.pgm" if texture == "file" else None,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = px.render_synthetic_scene(
+                f197.config, [plane], base_dir=tmp_path, background=0.5
+            ).samples
+        values = tile * 257 if texture == "file" else np.array([0, 65535])
+        assert np.isin(raw, values).all()
 
     def test_each_column_comes_from_its_nearest_plane(self, f197, tmp_path):
         rng = np.random.default_rng(6)

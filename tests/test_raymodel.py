@@ -321,3 +321,49 @@ class TestPair:
                 rig = array.pair(gap)
                 got_map = px.stereo_depth(rig, values * array.virtual_pixel_pitch_mm)
                 assert got_map.tobytes() == _previous_depth_map(array, gap, values).tobytes()
+
+
+class TestRejectedValues:
+    @pytest.mark.parametrize("slope, intercept", [(math.inf, 0.0), (0.0, math.nan)])
+    def test_chief_ray_must_be_finite(self, slope, intercept):
+        with pytest.raises(ValueError, match=r"^ChiefRay requires finite slope and intercept$"):
+            px.ChiefRay(slope=slope, intercept_mm=intercept)
+
+    def test_stereo_rig_needs_a_baseline(self):
+        with pytest.raises(ValueError, match=r"^baseline_mm must be > 0, got 0\.0$"):
+            px.StereoRig(baseline_mm=0.0)
+
+    def test_query_disparity_must_be_finite(self):
+        with pytest.raises(ValueError, match=r"^disparity_px must be finite$"):
+            px.TriangulationQuery(gap=1, disparity_px=math.nan)
+
+    def test_disparity_for_distance_at_zero(self, f197):
+        with pytest.raises(ValueError, match=r"^z_mm must be nonzero$"):
+            px.disparity_for_distance(f197.array, 1, 0.0)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_measurements_need_a_distance_in_front(self, f197, z):
+        query = px.TriangulationQuery(gap=1, disparity_px=1.0)
+        message = rf"^z_mm must be > 0, got {z}$"
+        with pytest.raises(ValueError, match=message):
+            px.measure_baseline(query, z, f197.array)
+        with pytest.raises(ValueError, match=message):
+            px.measure_tilt(query, z, 1.0, f197.array)
+
+    @pytest.mark.parametrize("positions, message", [
+        ((0.0, 1.0), "positions and tilts must share an odd length >= 3"),
+        ((0.0, 1.0, 3.0), "virtual cameras are not equally spaced"),
+        ((0.0, 0.0, 0.0), "virtual cameras are degenerate (zero spacing)"),
+    ])
+    def test_virtual_camera_array_checks(self, positions, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            px.VirtualCameraArray(positions, (0.0,) * len(positions), 1.0)
+
+    def test_entrance_pupil_at_infinity(self, f197):
+        # With the exit pupil 1e-300 mm from the MLA at infinity focus,
+        # f_u + (d_ap - b_u) rounds to exactly zero.
+        main_lens = dataclasses.replace(f197.config.main_lens, exit_pupil_inf_mm=1e-300)
+        config = dataclasses.replace(f197.config, main_lens=main_lens)
+        state = px.derive_focus_state(config)
+        with pytest.raises(ValueError, match=r"^entrance pupil lies at infinity for this lens$"):
+            px.entrance_pupil_distance(state, config)
