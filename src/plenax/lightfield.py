@@ -62,7 +62,7 @@ class SubApertureImage:
     pixels: np.ndarray
 
 
-def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
+def decode(raw: RawLightFieldImage) -> np.ndarray:
     """Reindex a raw capture into its sub-aperture views, losslessly.
 
     Returns a read-only (M, M, count_v, count_h) view of raw.samples, in
@@ -71,27 +71,22 @@ def decode(raw: RawLightFieldImage, rotate_180: bool = False) -> np.ndarray:
     afterwards changes them. `plenax extract` writes the same views to
     files without holding the raw.
 
-    Args:
-        raw: Calibrated raw image.
-        rotate_180: Rotate the raw by 180 degrees first. Captures are
-            projected upside down through the main lens; rotating before
-            decoding yields upright views. Applying the flag twice restores
-            the original orientation.
+    Captures are projected upside down through the main lens: decode
+    samples[::-1, ::-1], a view that copies nothing either, for upright
+    views.
     """
-    views = _view_major(raw.samples, raw.config.sensor.micro_image_px, rotate_180)
+    views = _view_major(raw.samples, raw.config.sensor.micro_image_px)
     views.flags.writeable = False
     return views
 
 
-def _view_major(samples: np.ndarray, m: int, rotate_180: bool) -> np.ndarray:
+def _view_major(samples: np.ndarray, m: int) -> np.ndarray:
     """View-major (M, M, lens rows, lens columns) view of whole micro images.
 
     The one implementation of the map from raw pixel (h*M + g', j*M + i') to
     views[i', g', h, j]. It only splits and permutes axes, so it never
     copies, whatever the samples' strides.
     """
-    if rotate_180:
-        samples = samples[::-1, ::-1]
     height, width = samples.shape
     # (h, g', i', j) -> (i', g', h, j)
     return _lens_columns(samples.reshape(height // m, m, width), m).transpose(2, 1, 0, 3)
@@ -214,7 +209,7 @@ def _read_ascii_body(f, path, count: int, maxval: int) -> np.ndarray:
     bad = next((v for v in ints if not 0 <= v <= maxval), None)
     if bad is not None:
         raise ValueError(f"{path}: sample {bad} outside [0, {maxval}]")
-    return np.array(ints, dtype=np.uint16 if maxval > 255 else np.uint8)
+    return np.array(ints, dtype=_body_dtype(maxval).newbyteorder("="))
 
 
 def read_pgm(path: str | Path) -> tuple[np.ndarray, int]:
@@ -252,12 +247,13 @@ def _extract_pgm(path: str | Path, config: CameraConfig, out_dir: Path, rotate_1
     """Write the views of the raw graymap at path into out_dir, holding no frame.
 
     The files are byte for byte those write_pgm writes for each view of
-    decode(RawLightFieldImage(read_pgm(path)[0], config), rotate_180), named
-    by view_filename and carrying the raw's maxval. Errors name the path as
-    read_pgm's do, and so does a raw whose size is not the config's; the
-    header, size, body length and samples are all checked before out_dir is
-    made. A maxval below the sample type's maximum costs one scan of a P5
-    body first, a block of at most _BLOCK_BYTES at a time.
+    decode(RawLightFieldImage(samples, config)), samples being read_pgm's,
+    reversed in both axes with rotate_180, named by view_filename and
+    carrying the raw's maxval. Errors name the path as read_pgm's do, and
+    so does a raw whose size is not the config's; the header, size, body
+    length and samples are all checked before out_dir is made. A maxval
+    below the sample type's maximum costs one scan of a P5 body first, a
+    block of at most _BLOCK_BYTES at a time.
 
     The raw is walked one row offset g' = c + g at a time. Raw row h*M + g'
     holds row h of the M views (i, g), so each of its count_v rows is read
@@ -359,7 +355,7 @@ def _write_all(f, data) -> None:
         view = view[f.write(view) :]
 
 
-def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) -> None:
+def write_pgm(path: str | Path, samples: np.ndarray, maxval: int) -> None:
     """Write a (height, width) integer array as a binary (P5) portable graymap.
 
     The size and every sample are checked before the file is opened, one
@@ -375,8 +371,8 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
         samples: Nonnegative whole values, each <= maxval: bool, integer or
             float. Float samples must hold whole numbers; they are never
             rounded.
-        maxval: Declared maximum, 1 to 65535; defaults to 255 or 65535
-            depending on the data's actual maximum.
+        maxval: Declared maximum, 1 to 65535; it sets the sample type,
+            16 bits above 255.
 
     Raises:
         ValueError: naming the path, for anything read_pgm would reject or
@@ -401,8 +397,6 @@ def write_pgm(path: str | Path, samples: np.ndarray, maxval: int | None = None) 
             if block.min() < 0:
                 raise ValueError(f"{path}: graymap samples must be nonnegative")
             peak = max(peak, int(block.max()))
-    if maxval is None:
-        maxval = 255 if peak <= 255 else 65535
     _check_maxval(path, maxval)
     if peak > maxval:
         raise ValueError(f"{path}: sample {peak} exceeds maxval {maxval}")

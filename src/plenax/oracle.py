@@ -311,51 +311,58 @@ def parse_scene(text: str) -> tuple[ScenePlane, ...]:
 def _texture_image(plane: ScenePlane, base_dir: Path | None, maxval: int) -> np.ndarray:
     """The plane's texture quantized onto 0..maxval in a P5 body's sample type.
 
-    A file texture is its graymap over its own maxval. A checker's colour
-    is |parity(y) - parity(x)| of its cell indices: the 2x2 image below.
+    A checker's colour is |parity(y) - parity(x)| of its cell indices: the
+    2x2 image below. A file texture is its graymap over its own maxval,
+    which lies in [0, 1], rounded as rint(v * maxval).
     """
+    dtype = _body_dtype(maxval)
     if plane.texture == "checker":
-        image = np.array([[0.0, 1.0], [1.0, 0.0]])
-    else:
-        path = Path(plane.path)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        samples, file_maxval = read_pgm(path)
-        image = samples.astype(np.float64)
-        image /= file_maxval  # in place: one float copy of the texture, not two
-    return _quantize(image, maxval).astype(_body_dtype(maxval), copy=False)
+        return np.array([[0, maxval], [maxval, 0]], dtype)
+    path = Path(plane.path)
+    if base_dir is not None and not path.is_absolute():
+        path = base_dir / path
+    samples, file_maxval = read_pgm(path)
+    image = samples / file_maxval
+    image *= maxval  # in place: one float copy of the texture, not two
+    return np.rint(image, out=image).astype(dtype)
 
 
 def _texel(coords: np.ndarray, scale: float, count: int) -> np.ndarray:
     """Tiled texel index of each coordinate: floor(coords / scale) mod count.
 
     The remainder is taken in float64, where it is exact, so a coordinate
-    far beyond int64's range in texels still maps to a valid texel.
+    far beyond int64's range in texels still maps to a valid texel. A scale
+    so fine that coords / scale passes float64's range is an error.
     """
-    return (np.floor(coords / scale) % count).astype(np.int64)
+    with np.errstate(over="ignore"):
+        cells = coords / scale
+    if not np.isfinite(cells).all():
+        raise ValueError(
+            f"texture scale {scale!r} mm is too fine: coordinates over it pass float64's range"
+        )
+    return (np.floor(cells) % count).astype(np.int64)
 
 
 def render_synthetic_scene(
     config: CameraConfig,
     planes,
     base_dir: str | Path | None = None,
-    background: float = 0.0,
     maxval: int = 65535,
 ) -> RawLightFieldImage:
     """Project textured planes through every viewpoint into a raw mosaic.
 
     Each raw pixel holds the texel where its traced chief ray meets the
-    nearest plane covering it; rays that miss every plane get the
-    background value. The texture values (a file texture's samples over its
-    own maxval, a checker's 0 and 1) and the background are quantized once,
-    before sampling, onto 0..maxval as rint(clip(v, 0, 1) * maxval), so the
-    raw comes back as integers, uint16 when maxval > 255 and uint8
-    otherwise: the samples a P5 graymap of that maxval holds. Inverse of
-    lightfield.decode by construction: sample (i, g) under lenslet column
-    j, row h lands at mosaic position (h * m + c + g, j * m + c + i). The raw is filled from the row blocks
+    nearest plane covering it; rays that miss every plane read 0. The
+    texture values (a file texture's samples over its own maxval, a
+    checker's 0 and 1) are quantized once, before sampling, onto 0..maxval
+    as rint(v * maxval), so the raw comes back as integers, uint16 when
+    maxval > 255 and uint8 otherwise: the samples a P5 graymap of that
+    maxval holds. Inverse of lightfield.decode by construction: sample
+    (i, g) under lenslet column j, row h lands at mosaic position
+    (h * m + c + g, j * m + c + i). The raw is filled from the row blocks
     `plenax render` writes as they come.
     """
-    blocks = _render_rows(config, planes, base_dir, background, maxval)
+    blocks = _render_rows(config, planes, base_dir, maxval)
     shape = (config.image_height_px, config.image_width_px)
     raw = np.empty(shape, _body_dtype(maxval).newbyteorder("="))
     start = 0
@@ -369,7 +376,6 @@ def _render_rows(
     config: CameraConfig,
     planes,
     base_dir: str | Path | None = None,
-    background: float = 0.0,
     maxval: int = 65535,
 ):
     """render_synthetic_scene's raw as an iterator of row blocks, top to bottom.
@@ -412,9 +418,9 @@ def _render_rows(
 
     # Every mosaic column takes its texel from the nearest plane covering
     # it, so each row block is one column gather from a table of the
-    # planes' quantized texels. Table column 0 is the background; each
-    # plane adds the texel columns it uses, once, and each block takes
-    # their rows.
+    # planes' quantized texels. Table column 0 is 0, for the columns no
+    # plane covers; each plane adds the texel columns it uses, once, and
+    # each block takes their rows.
     index = np.zeros(width, dtype=np.int64)
     owned = np.zeros(width, dtype=bool)
     parts = []  # (plane's texel rows, first table column, its used texel columns)
@@ -435,8 +441,7 @@ def _render_rows(
 
     dtype = _body_dtype(maxval)
     step = max(1, _BLOCK_BYTES // (max(width, table_width) * dtype.itemsize))
-    table = np.empty((min(step, height), table_width), dtype)
-    table[:, 0] = _quantize(np.array([background], dtype=np.float64), maxval)
+    table = np.zeros((min(step, height), table_width), dtype)
     out = np.empty((min(step, height), width), dtype)
 
     def blocks():
@@ -451,14 +456,3 @@ def _render_rows(
 
     return blocks()
 
-
-def _quantize(samples: np.ndarray, maxval: int) -> np.ndarray:
-    """Clip float samples to [0, 1] and round them onto 0..maxval.
-
-    Works in place on samples, which it overwrites, and returns the
-    integers as uint16 when maxval > 255, uint8 otherwise.
-    """
-    np.clip(samples, 0.0, 1.0, out=samples)
-    samples *= maxval
-    np.rint(samples, out=samples)
-    return samples.astype(np.uint16 if maxval > 255 else np.uint8)

@@ -212,17 +212,15 @@ def _evaluate(check: ReferenceCheck, config: CameraConfig, array) -> CheckOutcom
     return CheckOutcome(check.label, check.expected, got, check.tolerance, passed)
 
 
-def run_factory_checks(name: str, config: CameraConfig | None = None) -> list[CheckOutcome]:
+def run_factory_checks(name: str, config: CameraConfig) -> list[CheckOutcome]:
     """Evaluate a fixture's reference values against a camera.
 
-    config defaults to the shipped fixture itself; passing a modified camera
-    shows where it departs from the factory values.
+    Pass load_fixture(name) to check the shipped fixture itself; a modified
+    camera shows where it departs from the factory values.
     """
     if name not in REFERENCE_VALUES:
         known = ", ".join(sorted(REFERENCE_VALUES))
         raise KeyError(f"no reference values for {name!r} (known: {known})")
-    if config is None:
-        config = load_fixture(name)
     array = raymodel.build_virtual_camera_array(derive_focus_state(config), config)
     return [_evaluate(check, config, array) for check in REFERENCE_VALUES[name]]
 

@@ -78,12 +78,28 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("name, params", [
     ("simulate_virtual_cameras", ["config"]),
     ("simulate_distance", ["config", "gap", "delta_x_px"]),
-    ("render_synthetic_scene", ["config", "planes", "base_dir", "background", "maxval"]),
+    ("render_synthetic_scene", ["config", "planes", "base_dir", "maxval"]),
 ])
 def test_oracle_takes_only_the_camera(name, params):
     # The oracle solves the focus itself: a focus state passed beside the
     # config could belong to another camera.
     assert list(inspect.signature(getattr(px, name)).parameters) == params
+
+
+# An option that only tests set is a constant: the raw is rotated by
+# reversing its samples, the graymap's maxval is stated and the factory
+# checks name their camera. render_synthetic_scene is pinned above.
+NO_DEFAULT = inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("name, params", [
+    ("decode", [("raw", NO_DEFAULT)]),
+    ("write_pgm", [("path", NO_DEFAULT), ("samples", NO_DEFAULT), ("maxval", NO_DEFAULT)]),
+    ("run_factory_checks", [("name", NO_DEFAULT), ("config", NO_DEFAULT)]),
+])
+def test_signatures_carry_no_test_only_option(name, params):
+    parameters = inspect.signature(getattr(px, name)).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == params
 
 
 # Private names one plenax module takes from another, as (importer, name).

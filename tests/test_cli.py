@@ -599,8 +599,9 @@ class TestVerify:
         assert len(names) == 13
         outcomes = []
         for name in names:
-            outcomes += px.run_factory_checks(name)
-            outcomes += px.run_consistency_checks(px.load_fixture(name))
+            config = px.load_fixture(name)
+            outcomes += px.run_factory_checks(name, config)
+            outcomes += px.run_consistency_checks(config)
         assert len(outcomes) == 455
         for o in outcomes:
             assert type(o.got) is float and type(o.expected) is float, o

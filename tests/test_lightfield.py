@@ -50,17 +50,23 @@ class TestDecode:
         assert views[c + 1, c - 2, 2, 3] == small_raw.samples[2 * m + c - 2, 3 * m + c + 1]
 
     def test_rotate_180_double_apply_is_identity(self, small_raw):
-        once = px.decode(small_raw, rotate_180=True)
+        once = px.decode(_rotated(small_raw))
         raw_back = flatten(once)
-        twice = px.decode(raw_back, rotate_180=True)
+        twice = px.decode(_rotated(raw_back))
         assert np.array_equal(twice, px.decode(small_raw))
 
-    def test_rotate_180_flips_mosaic(self, small_raw):
-        rotated = px.decode(small_raw, rotate_180=True)
-        flipped = px.RawLightFieldImage(
-            samples=small_raw.samples[::-1, ::-1].copy(), config=small_raw.config
-        )
-        assert np.array_equal(rotated, px.decode(flipped))
+    def test_rotate_180_reverses_each_view_and_its_offset(self, small_raw):
+        # What `plenax extract --rotate-180` writes: view (i, g) of the
+        # reversed raw is view (-i, -g) read backwards.
+        rotated = px.decode(_rotated(small_raw))
+        upright = px.decode(small_raw)
+        assert np.array_equal(rotated, upright[::-1, ::-1, ::-1, ::-1])
+        assert np.shares_memory(rotated, small_raw.samples)
+
+
+def _rotated(raw):
+    """raw turned by 180 degrees: its samples reversed in both axes, not copied."""
+    return px.RawLightFieldImage(samples=raw.samples[::-1, ::-1], config=raw.config)
 
 
 class TestViewMajorDecode:
@@ -84,7 +90,7 @@ class TestViewMajorDecode:
         else:
             samples = (rng.random(shape) * 255).astype(dtype, order=layout)
         raw = px.RawLightFieldImage(samples=samples, config=config)
-        views = px.decode(raw, rotate_180=rotate)
+        views = px.decode(_rotated(raw) if rotate else raw)
         assert views.shape == (m, m, count_v, count_h)
         assert np.shares_memory(views, samples) and not views.flags.writeable
         assert samples.flags.writeable
@@ -114,7 +120,7 @@ class TestViewMajorDecode:
         raw = px.RawLightFieldImage(samples=samples, config=config)
         tracemalloc.start()
         try:
-            views = px.decode(raw, rotate_180=rotate)
+            views = px.decode(_rotated(raw) if rotate else raw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,7 +240,7 @@ class TestPgm:
     def test_non_numeric_samples_rejected(self, tmp_path, samples):
         path = tmp_path / "n.pgm"
         with pytest.raises(ValueError, match=r"n\.pgm: graymap samples must be numeric"):
-            px.write_pgm(path, samples)
+            px.write_pgm(path, samples, maxval=255)
         assert not path.exists()
 
     @pytest.mark.parametrize("shape, field", [((0, 5), "height 0"), ((3, 0), "width 0")])
@@ -242,12 +248,12 @@ class TestPgm:
         # read_pgm rejects the `P5\n5 0\n255\n` such an array would give.
         path = tmp_path / "e.pgm"
         with pytest.raises(ValueError, match=rf"e\.pgm: {field} must be positive"):
-            px.write_pgm(path, np.zeros(shape, np.uint16))
+            px.write_pgm(path, np.zeros(shape, np.uint16), maxval=255)
         assert not path.exists()
 
     def test_whole_float_samples_round_trip(self, tmp_path):
         path = tmp_path / "w.pgm"
-        px.write_pgm(path, np.array([[0.0, 7.0], [300.0, 2.0]]))
+        px.write_pgm(path, np.array([[0.0, 7.0], [300.0, 2.0]]), maxval=65535)
         back, maxval = px.read_pgm(path)
         assert maxval == 65535
         assert np.array_equal(back, [[0, 7], [300, 2]])
@@ -345,7 +351,7 @@ class TestGraymapWriter:
     def test_write_pgm_rejects_a_non_2d_array(self, tmp_path):
         path = tmp_path / "cube.pgm"
         with pytest.raises(ValueError) as info:
-            px.write_pgm(path, np.zeros((2, 2, 2), np.uint8))
+            px.write_pgm(path, np.zeros((2, 2, 2), np.uint8), maxval=255)
         assert str(info.value) == f"{path}: samples must be 2-D, got shape (2, 2, 2)"
         assert not path.exists()
 
@@ -470,7 +476,8 @@ def f197_raw(tmp_path_factory):
     config = px.load_fixture("f197_mla2_inf")
     shape = (config.image_height_px, config.image_width_px)
     raw = tmp_path_factory.mktemp("f197") / "raw.pgm"
-    px.write_pgm(raw, np.random.default_rng(15).integers(0, 65536, size=shape, dtype=np.uint16))
+    samples = np.random.default_rng(15).integers(0, 65536, size=shape, dtype=np.uint16)
+    px.write_pgm(raw, samples, maxval=65535)
     return raw
 
 
@@ -480,7 +487,9 @@ def _assert_extract_writes_decoded_views(tmp_path, cfg, raw, rotate):
     assert main(["extract", cfg, str(raw), str(tmp_path / "got"), *flags]) == 0
     read, read_maxval = px.read_pgm(raw)
     config = px.load_config(cfg)
-    views = px.decode(px.RawLightFieldImage(samples=read, config=config), rotate_180=rotate)
+    if rotate:
+        read = read[::-1, ::-1]
+    views = px.decode(px.RawLightFieldImage(samples=read, config=config))
     assert len(list((tmp_path / "got").iterdir())) == views.shape[0] * views.shape[1]
     for (i, g), view in px.extract_all_views(views).items():
         want = tmp_path / "want.pgm"

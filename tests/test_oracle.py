@@ -18,11 +18,12 @@ from plenax.optics import _thick_lens
 from plenax.oracle import (
     _chief_rays,
     _intersect,
-    _quantize,
     _texel,
     _texture_image,
     _through_lenslet,
 )
+
+from conftest import rig_file
 
 
 def _thin(focal_length_mm):
@@ -469,7 +470,7 @@ class TestRenderer:
         near = px.ScenePlane(
             depth_mm=1000.0, texture="checker", argument_mm=1e9, band=(20.0, 1e9)
         )
-        raw = px.render_synthetic_scene(f197.config, [far, near], background=0.5)
+        raw = px.render_synthetic_scene(f197.config, [far, near])
         # A plane with a huge checker period is a constant field: floor(x/p)
         # is 0 on one side of the origin and -1 on the other.
         assert raw.samples.shape == (188 * 13, 281 * 13)
@@ -477,12 +478,16 @@ class TestRenderer:
         right_edge = raw.samples[:, -100:]
         assert not np.array_equal(left_edge, right_edge)
 
-    def test_background_fills_uncovered_columns(self, f197):
+    def test_uncovered_columns_read_zero(self, f197, tmp_path):
+        # A grey texture has no 0, so every 0 is a column no plane covers.
+        px.write_pgm(tmp_path / "grey.pgm", np.full((2, 2), 128), maxval=255)
         near_only = px.ScenePlane(
-            depth_mm=1000.0, texture="checker", argument_mm=50.0, band=(0.0, 30.0)
+            depth_mm=1000.0, texture="file", argument_mm=50.0, path="grey.pgm", band=(0.0, 30.0)
         )
-        raw = px.render_synthetic_scene(f197.config, [near_only], background=0.25)
-        assert (raw.samples == np.rint(0.25 * 65535)).any()
+        raw = px.render_synthetic_scene(f197.config, [near_only], base_dir=tmp_path).samples
+        assert set(np.unique(raw)) == {0, 128 * 257}
+        zero = raw == 0
+        assert (zero.all(axis=0) | ~zero.any(axis=0)).all()
 
     def test_traced_allocation_peak(self, f197, tmp_path):
         # Quantizing each texture once and gathering its texels one row
@@ -551,14 +556,20 @@ def _two_plane_scene(directory):
 
 class TestQuantize:
     @pytest.mark.parametrize("maxval", [255, 65535])
-    def test_matches_round_of_clipped_scale(self, maxval):
-        ties = (np.arange(maxval) + 0.5) / maxval
-        edges = np.array([-np.inf, -1.0, -1e-9, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-9, 7.0, np.inf])
-        samples = np.concatenate([ties, edges, np.linspace(-0.2, 1.2, 1001)])
-        scaled = np.clip(samples, 0.0, 1.0) * maxval
-        assert (scaled % 1.0 == 0.5).sum() > maxval // 2
-        reference = np.round(scaled).astype(np.uint16 if maxval > 255 else np.uint8)
-        got = _quantize(samples.copy(), maxval)
+    @pytest.mark.parametrize("file_maxval", [1, 2, 255, 510, 1000, 43690, 65535])
+    def test_file_texture_matches_round_of_scale(self, tmp_path, maxval, file_maxval):
+        # Every sample of the file, 0 to its maxval; the even file maxvals
+        # put some on exact halves of the raw's scale.
+        samples = np.arange(file_maxval + 1).reshape(1, -1)
+        px.write_pgm(tmp_path / "ramp.pgm", samples, maxval=file_maxval)
+        plane = px.ScenePlane(
+            depth_mm=1000.0, texture="file", argument_mm=1.0, path="ramp.pgm"
+        )
+        scaled = samples / file_maxval * maxval
+        reference = np.round(scaled).astype(">u2" if maxval > 255 else "u1")
+        if file_maxval % 2 == 0:
+            assert (scaled % 1.0 == 0.5).any()
+        got = _texture_image(plane, tmp_path, maxval)
         assert got.dtype == reference.dtype
         assert np.array_equal(got, reference)
 
@@ -622,11 +633,32 @@ class TestTextureSamplers:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            raw = px.render_synthetic_scene(
-                f197.config, [plane], base_dir=tmp_path, background=0.5
-            ).samples
+            raw = px.render_synthetic_scene(f197.config, [plane], base_dir=tmp_path).samples
         values = tile * 257 if texture == "file" else np.array([0, 65535])
         assert np.isin(raw, values).all()
+
+    @pytest.mark.parametrize("texture", ["file", "checker"])
+    def test_subnormal_texel_scale_is_named(self, capsys, tmp_path, texture):
+        # At 5e-324 mm per texel, coordinates of tens of mm over the scale
+        # pass float64's range, so no texel index exists: the error names
+        # the scale, and `plenax render` writes no file.
+        cfg = rig_file(tmp_path, 5, 5, 5)
+        px.write_pgm(tmp_path / "tile.pgm", np.ones((7, 11)), maxval=255)
+        kind = "checker" if texture == "checker" else "file tile.pgm"
+        line = f"plane 1000 {kind} 5e-324"
+        scene = tmp_path / "scene.txt"
+        scene.write_text(line + "\n")
+        out = tmp_path / "raw.pgm"
+        message = "texture scale 5e-324 mm is too fine: coordinates over it pass float64's range"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                px.render_synthetic_scene(
+                    px.load_config(cfg), oracle.parse_scene(line), base_dir=tmp_path
+                )
+            assert main(["render", cfg, str(scene), str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_each_column_comes_from_its_nearest_plane(self, f197, tmp_path):
         rng = np.random.default_rng(6)
@@ -640,9 +672,7 @@ class TestTextureSamplers:
         )
 
         def render(planes):
-            return px.render_synthetic_scene(
-                f197.config, planes, base_dir=tmp_path, background=0.5
-            ).samples
+            return px.render_synthetic_scene(f197.config, planes, base_dir=tmp_path).samples
 
         both = render([far, banded])
         from_near = (both == render([near])).all(axis=0)

@@ -87,7 +87,9 @@ class TestGeneratedRigPipeline:
             path="tile.pgm",
         )
         raw = px.render_synthetic_scene(config, [plane], base_dir=tile_dir)
-        views = px.decode(raw, rotate_180=rotate)
+        if rotate:  # a capture projected upside down
+            raw = px.RawLightFieldImage(samples=raw.samples[::-1, ::-1], config=config)
+        views = px.decode(raw)
         params = px.MatchParams(block_size=BLOCK, max_disparity=MAXD)
         for first, gap in pairs:
             # Rotated, view (i, g) is (-i, -g) read backwards: the pair
