@@ -87,7 +87,7 @@ def _subpixel_refine(
 
 
 def _band_count(rows: int, block: int) -> int:
-    """Row bands for the integer path: one per usable core, each >= block rows."""
+    """Row bands for block_match: one per usable core, each >= block rows."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform, e.g. macOS
@@ -123,7 +123,7 @@ def _match_rows(
         for s, d in enumerate(chunk):
             # Left columns lo.. meet right columns lo - d..; the integral
             # starts at lo and stops after the last column a valid window
-            # uses. Columns past it are zeroed so they stay finite.
+            # uses. Columns past it keep stale sums that no window reads.
             lo = max(0, d)
             n = width - maxd - lo
             area = block[1:, s, 1 : n + 1]
@@ -131,7 +131,6 @@ def _match_rows(
                 left[:, lo : lo + n], right[:, lo - d : lo - d + n], out=area, dtype=area.dtype
             )
             np.abs(area, out=area)
-            block[1:, s, n + 1 :] = 0
         # Running sum down the columns, row by row: the additions of
         # np.cumsum(axis=0) in the same order, on every shift at once.
         image_rows = list(block[1:])
@@ -178,54 +177,41 @@ def block_match(
     Pixels whose window leaves either image for any searched shift are
     invalid (NaN); validity never depends on image content.
 
-    Exact integer costs: a view qualifies when its dtype is an integer one,
-    or a float one whose values are all whole and lie in [-2**63, 2**63).
-    When both do, every cost and window sum is an exact integer, so any
-    summation order gives the same costs, argmin, ties and parabola. With
-    span = max(both views) - min(both views), no window sum exceeds
-    span * block_size**2. While that stays below 2**31, both views are read
-    as int64 and shifted by their joint minimum modulo 2**64, which puts
-    every value exactly in [0, span] (uint16 when span < 2**16, int32
-    otherwise), and the costs run in int32. So the map depends neither on
-    the views' dtypes nor on a shift common to both. The integral image may
-    wrap modulo 2**32, but ((A - B) - C) + D still comes out as the exact
-    window sum. The int32 path is taken only where the float64 path is
-    exact too (every integral entry, at most span * height * width, below
-    2**53), so for views that float64 holds exactly both give the same
-    bits. All other views run in float64.
+    Costs are exact integers; there is no float64 cost path. A view must
+    have an integer or bool dtype, or a float one whose values are all
+    whole and lie in [-2**63, 2**63). Both views are read as int64 and
+    shifted by their joint minimum modulo 2**64, which puts every value
+    exactly in [0, span], span = max(both views) - min(both views), so the
+    map depends neither on the views' dtypes nor on a shift common to both.
+    No window sum exceeds span * block_size**2: the costs run in int32
+    while that stays below 2**31, else in int64. The integral image may
+    wrap, but ((A - B) - C) + D still comes out as the exact window sum,
+    so the map's bits depend neither on summation order nor on the bands.
 
     Bands: an exact window sum does not depend on the row where its
-    integral image starts. So on the int32 path the valid rows are split
-    into one band per usable core, with at least block_size rows per band.
-    Each band has its own integral buffer and its own rows of the result
-    planes. The calling thread matches the first band and a thread pool
-    made for the call matches the others. Every buffer is allocated in the
-    calling thread before the bands start; the bands run only in-place
-    ufuncs. The float64 path runs as one band in the calling thread.
+    integral image starts, so the valid rows are split into one band per
+    usable core, at least block_size rows each, with its own integral
+    buffer and rows of the result planes. The calling thread allocates
+    every buffer, then matches the first band and a thread pool made for
+    the call the others; the bands run only in-place ufuncs.
 
     Memory: no cost volume is kept, so memory does not grow with maxd.
     Shifts are summed in chunks of four through one integral buffer per
-    band of (band rows + block_size) * 4 * (width - maxd + 1) cells: for
-    329x329 views at maxd 16, 3.3 MB in float64 and 1.8 MB in two int32
-    bands. Besides it come a fixed five cost planes (8 or 4 bytes), one
-    int32 and four 1-byte planes of (height - 2*half) * (width - 2*margin)
-    cells over the valid pixels, with half = block_size // 2 and margin =
-    half + maxd: the current and previous cost, the best cost, the costs
-    of the best shift's two neighbours, the best shift, and the masks of
-    where this and the previous shift won, of ties and of shifts below -d.
-    The int32 path also holds its two shifted views. The parabola reads
-    the int32 cost planes directly and computes in float64.
+    band of (band rows + block_size) * 4 * (width - maxd + 1) cells of the
+    cost type: for 329x329 views at maxd 16, 1.8 MB in two int32 bands.
+    Besides it come the two shifted views (uint16 when span < 2**16, else
+    the cost type) and, over the (height - 2*half) * (width - 2*margin)
+    valid pixels (half = block_size // 2, margin = half + maxd), five cost
+    planes, one int32 and four 1-byte planes: the current and previous
+    cost, the best cost, the costs of the best shift's two neighbours, the
+    best shift, and the masks of where this and the previous shift won, of
+    ties and of shifts below -d. The parabola computes in float64.
 
-    Bit stability: shifts run in ascending order from -maxd to +maxd, and
-    each runs the same fixed sequence of elementwise passes (absolute
-    difference; integral image by sequential running sums down the
-    columns, then along the rows, starting at the first column where the
-    views overlap; window sum as ((A - B) - C) + D), so equal inputs give
-    equal bits on every run and for any number of bands. The running
-    argmin applies the tie rule exactly: shift d <= 0 takes a pixel at
-    equal cost, shift d > 0 only from a best below -d. The parabola's
-    neighbour costs are tracked on the way: a pixel's cost at d - 1 is
-    kept when d takes it, its cost at d + 1 when the next shift runs.
+    Ties: shifts run in ascending order from -maxd to +maxd, and the running
+    argmin applies the tie rule exactly: shift d <= 0 takes a pixel at equal
+    cost, shift d > 0 only from a best below -d. The parabola's neighbour
+    costs are tracked on the way: a pixel's cost at d - 1 is kept when d
+    takes it, its cost at d + 1 when the next runs.
 
     Args:
         left: Reference view, (height, width).
@@ -236,11 +222,10 @@ def block_match(
         DisparityMap of left's geometry.
 
     Raises:
-        ValueError: Either view is complex, the views differ in shape,
-            are not 2-D, either holds a non-finite value (it would spread
-            through the window sums and leave wrong but finite
-            disparities), or either holds a value so large that the costs
-            could overflow float64.
+        ValueError: Either view is complex, the views differ in shape or
+            are not 2-D, either holds a value that is not a whole number
+            in [-2**63, 2**63) (NaN and infinities included), or
+            span * block_size**2 reaches 2**63.
     """
     for name, view in (("left", left), ("right", right)):
         # astype(float64) would keep only the real part.
@@ -251,68 +236,51 @@ def block_match(
     if left.ndim != 2:
         raise ValueError(f"views must be 2-D, got shape {left.shape}")
     height, width = left.shape
-    tops, bottoms, whole = [], [], []
-    if left.size:
-        # Every integral-image entry and cost is at most
-        # (max|l| + max|r|)*h*w, and the parabola's largest term,
-        # 2*curvature, is at most four costs: 8*max|v|*h*w below the
-        # float64 maximum keeps every intermediate finite.
-        bound = np.finfo(np.float64).max / (8.0 * height * width)
-        for name, view in (("left", left), ("right", right)):
+    views, tops, bottoms = [], [], []
+    for name, view in (("left", left), ("right", right)):
+        if view.dtype.kind not in "biuf":
+            view = view.astype(np.float64)
+        if view.size:
             top, bottom = view.max(), view.min()
-            if not (np.isfinite(top) and np.isfinite(bottom)):
-                raise ValueError(f"{name} view holds non-finite values")
-            magnitude = max(float(top), -float(bottom))
-            if magnitude > bound:
+            # NaN fails every comparison; infinities fail the range.
+            if view.dtype.kind == "f" and not (
+                -(2.0**63) <= bottom and top < 2.0**63 and np.all(np.trunc(view) == view)
+            ):
                 raise ValueError(
-                    f"{name} view magnitude {magnitude:.6g} exceeds "
-                    f"{bound:.6g} (float64 max / (8*{height}*{width})); "
-                    "its matching costs could overflow"
+                    f"{name} view holds values that are not whole numbers in [-2**63, 2**63)"
                 )
-            tops.append(top)
-            bottoms.append(bottom)
-            # Whole values that int64 holds shift exactly on the int32 path.
-            whole.append(np.issubdtype(view.dtype, np.integer) or (
-                np.issubdtype(view.dtype, np.floating)
-                and -(2.0**63) <= float(bottom) and float(top) < 2.0**63
-                and bool(np.all(np.trunc(view) == view))
-            ))
-    half = params.block_size // 2
+            # Extremes as Python ints: as floats they round above 2**53.
+            tops.append(int(top))
+            bottoms.append(int(bottom))
+        views.append(view)
+    b = params.block_size
+    half = b // 2
     maxd = params.max_disparity
     margin = half + maxd
     if width <= 2 * margin or height <= 2 * half:
         return DisparityMap(values=np.full((height, width), np.nan))
 
-    b = params.block_size
     inner_h = height - 2 * half
     valid_w = width - 2 * margin
-    # Extremes as Python ints: as floats they round above 2**53.
-    offset = min(map(int, bottoms))
-    span = max(map(int, tops)) - offset
-    exact = all(whole) and span * b * b < 2**31 and span * height * width < 2**53
-    if exact:
-        dtype = np.int32
-        # The shifted views lie in [0, span]: PGM views fit uint16. Each view
-        # is read as int64 and shifted modulo 2**64, which is exact there,
-        # uint64 values above 2**63 included.
-        store = np.uint16 if span < 2**16 else np.int32
-        shift = np.int64((offset + 2**63) % 2**64 - 2**63)
-        lv, rv = (
-            np.subtract(v, shift, out=np.empty(v.shape, store), dtype=np.int64, casting="unsafe")
-            for v in (left, right)
-        )
-        bands = _band_count(inner_h, b)
-    else:
-        dtype = np.float64
-        lv = left.astype(np.float64, copy=False)
-        rv = right.astype(np.float64, copy=False)
-        bands = 1
+    offset = min(bottoms)
+    span = max(tops) - offset
+    if span * b * b >= 2**63:
+        raise ValueError(f"view span {span} times block_size**2 ({b}**2) reaches 2**63")
+    dtype = np.int32 if span * b * b < 2**31 else np.int64
+    # Read as int64 and shifted modulo 2**64: exact, uint64 above 2**63 too.
+    store = np.uint16 if span < 2**16 else dtype
+    shift = np.int64((offset + 2**63) % 2**64 - 2**63)
+    lv, rv = (
+        np.subtract(v, shift, out=np.empty(v.shape, store), dtype=np.int64, casting="unsafe")
+        for v in views
+    )
+    bands = _band_count(inner_h, b)
 
     # Planes over the valid pixels only: the columns every shift reaches.
     # costs: current, previous and best cost, then the best shift's left
     # and right neighbour costs.
     costs = np.zeros((5, inner_h, valid_w), dtype)
-    costs[2] = np.iinfo(dtype).max if exact else np.inf
+    costs[2] = np.iinfo(dtype).max
     best_shift = np.zeros((inner_h, valid_w), dtype=np.int32)
     masks = np.zeros((4, inner_h, valid_w), dtype=bool)
     edges = [inner_h * k // bands for k in range(bands + 1)]
@@ -338,14 +306,14 @@ def block_match(
         for future in futures:
             future.result()
     # Free the views, integral buffers and masks before the parabola.
-    del jobs, lv, rv, masks
+    del jobs, views, lv, rv, masks
 
     values = np.full((height, width), np.nan)
     valid = values[half : height - half, margin : width - margin]
     valid[:] = best_shift
     if params.subpixel:
         # Integer cost planes are read as they are: the parabola computes
-        # in float64, where they convert exactly.
+        # in float64, where int32 costs convert exactly.
         _, _, best_cost, cost_minus, cost_plus = costs
         np.add(
             valid,

@@ -380,7 +380,8 @@ class TestDisparityCommand:
 
 
     def test_csv_bytes_match_float64_reference(self, tmp_path):
-        # PGM views reach block_match as uint16 and take the int32 path.
+        # PGM views reach block_match as uint16; their exact int32 costs give
+        # the bytes of the float64 reference, whose sums are exact here too.
         rng = np.random.default_rng(8)
         a = rng.integers(0, 65536, size=(45, 70), dtype=np.uint16)
         left, right = tmp_path / "l.pgm", tmp_path / "r.pgm"

@@ -1,5 +1,6 @@
 """Block matching, subpixel refinement, and disparity map I/O."""
 
+import re
 import sys
 import tracemalloc
 
@@ -140,15 +141,15 @@ def _reference_block_match(left, right, params):
 
 @st.composite
 def match_cases(draw):
-    """Finite non-integer views whose width sits at or just past 2*margin."""
+    """Whole-valued float views whose width sits at or just past 2*margin."""
     block = draw(st.sampled_from([1, 3, 5, 7, 9]))
     maxd = draw(st.integers(1, 6))
     params = px.MatchParams(block_size=block, max_disparity=maxd, subpixel=draw(st.booleans()))
     width = 2 * (block // 2 + maxd) + draw(st.integers(0, 3))
     height = draw(st.integers(1, block + 4))
-    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-    left = draw(hnp.arrays(np.float64, (height, width), elements=floats))
-    right = draw(hnp.arrays(np.float64, (height, width), elements=floats))
+    whole = st.integers(-(10**6), 10**6).map(float)
+    left = draw(hnp.arrays(np.float64, (height, width), elements=whole))
+    right = draw(hnp.arrays(np.float64, (height, width), elements=whole))
     return left, right, params
 
 
@@ -228,11 +229,11 @@ class TestSadCost:
 
 @st.composite
 def integer_cases(draw):
-    """Views at the edges of the int32 path, sized like match_cases.
+    """Views at the edges of the accepted dtypes, sized like match_cases.
 
-    Negative integer-valued floats and uint8 left with float64 right take
-    the int32 path; integer views with one value moved off an integer by
-    0.5 or 1e-9 take the float64 path.
+    Negative integer-valued floats and uint8 left with float64 right are
+    matched. Integer-valued float views with one value moved off an integer
+    by 0.5 or 1e-9 are rejected; the case then names the moved side.
     """
     block = draw(st.sampled_from([1, 3, 5, 7, 9]))
     maxd = draw(st.integers(1, 6))
@@ -241,18 +242,21 @@ def integer_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.sampled_from([3, 256, 70000]))
     kind = draw(st.sampled_from(["negative", "mixed", "off_integer"]))
+    moved = None
     if kind == "negative":
         left, right = (-rng.integers(0, levels, shape).astype(np.float64) for _ in range(2))
     elif kind == "mixed":
         left = rng.integers(0, min(levels, 256), shape, dtype=np.uint8)
         right = rng.integers(0, min(levels, 256), shape).astype(np.float64)
     else:
-        left, right = (rng.integers(0, levels, shape).astype(np.float64) for _ in range(2))
-        moved = draw(st.sampled_from([left, right]))
-        moved[rng.integers(0, shape[0]), rng.integers(0, shape[1])] += draw(
+        sides = ("left", "right")
+        views = {side: rng.integers(0, levels, shape).astype(np.float64) for side in sides}
+        moved = draw(st.sampled_from(sides))
+        views[moved][rng.integers(0, shape[0]), rng.integers(0, shape[1])] += draw(
             st.sampled_from([0.5, 1e-9])
         )
-    return left, right, params
+        left, right = views["left"], views["right"]
+    return left, right, params, moved
 
 
 @st.composite
@@ -302,7 +306,7 @@ class TestBlockMatch:
         rng = np.random.default_rng(5)
         params = px.MatchParams(block_size=7, max_disparity=2)
         a = px.block_match(
-            rng.random((25, 40)), rng.random((25, 40)), params
+            rng.integers(0, 256, (25, 40)), rng.integers(0, 256, (25, 40)), params
         ).values
         b = px.block_match(np.zeros((25, 40)), np.ones((25, 40)), params).values
         assert np.array_equal(np.isnan(a), np.isnan(b))
@@ -318,7 +322,7 @@ class TestBlockMatch:
         # One NaN used to spread through the window sums and turn 540 of
         # the 1,800 outputs of this 40x60 pair into a finite 0.0.
         rng = np.random.default_rng(3)
-        views = {"left": rng.random((40, 60))}
+        views = {"left": rng.integers(0, 256, (40, 60)).astype(np.float64)}
         views["right"] = np.roll(views["left"], 2, axis=1)
         views[side][20, 30] = np.nan
         with pytest.raises(ValueError, match=f"{side} view"):
@@ -354,30 +358,44 @@ class TestBlockMatch:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_overflowing_view_rejected(self, side):
         # Finite but huge views used to overflow the integral image and come
-        # back as 1,632 plausible 0.0 disparities of this 40x60 pair.
+        # back as 1,632 plausible 0.0 disparities of this 40x60 pair. 2**63
+        # is whole but has no int64, so it is the first value rejected.
         rng = np.random.default_rng(3)
-        views = {"left": rng.random((40, 60)), "right": rng.random((40, 60))}
-        views[side] = views[side] * 1e307
-        with pytest.raises(ValueError, match=f"{side} view magnitude .* exceeds"):
+        views = {s: rng.integers(0, 256, (40, 60)).astype(np.float64) for s in ("left", "right")}
+        views[side][20, 30] = 2.0**63
+        message = f"{side} view holds values that are not whole numbers in [-2**63, 2**63)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             px.block_match(views["left"], views["right"], px.MatchParams(block_size=5))
 
-    def test_views_at_magnitude_bound_stay_finite(self):
-        # The worst case for the bound: windows nearly as large as the view,
-        # opposite signs, so costs approach the integral image's total.
+    def test_views_at_span_bound_keep_exact_costs(self):
+        # The worst case for int64 costs: span * 9**2 one step below 2**63,
+        # windows nearly as large as the view, opposite signs, so costs
+        # approach span * 81. float64 would round them; the winners must be
+        # those of exact Python-int costs.
         rng = np.random.default_rng(4)
-        params = px.MatchParams(block_size=9, max_disparity=2)
+        params = px.MatchParams(block_size=9, max_disparity=2, subpixel=False)
         shape = (9, 14)
-        bound = np.finfo(np.float64).max / (8.0 * shape[0] * shape[1])
-        left = bound * rng.random(shape)
-        left[0, 0] = bound
-        with np.errstate(over="raise", invalid="raise"):
-            d = px.block_match(left, -left, params).values
-        assert np.isfinite(d).sum() == 1 * (shape[1] - 2 * (4 + 2))
+        top = (2**63 - 1) // (2 * 81)
+        left = rng.integers(-top, top + 1, shape)
+        left[0, 0], left[1, 1] = top, -top
+        right = -left
+        d = px.block_match(left, right, params).values
+        valid = d[4, 6:8]
+        assert np.isfinite(d).sum() == valid.size == 1 * (shape[1] - 2 * (4 + 2))
+        for x, got in zip(range(6, 8), valid):
+            window = left[:, x - 4 : x + 5].astype(object)
+            costs = {
+                s: int(np.abs(window - right[:, x - s - 4 : x - s + 5]).sum())
+                for s in range(-2, 3)
+            }
+            # Ties to the smaller |s|, then to -s: the first minimum in this order.
+            assert got == min(sorted(costs, key=abs), key=costs.get)
 
     def test_peak_memory_on_lytro_views(self):
-        # 329x329 views at block 29, maxd 16, as the Lytro bench matches.
+        # 329x329 float64 copies of 16-bit views at block 29, maxd 16, as the
+        # Lytro bench matches.
         rng = np.random.default_rng(6)
-        left = rng.random((329, 329))
+        left = rng.integers(0, 65536, (329, 329)).astype(np.float64)
         right = np.roll(left, 3, axis=1)
         params = px.MatchParams(block_size=29, max_disparity=16)
         tracemalloc.start()
@@ -401,7 +419,7 @@ class TestBlockMatch:
     @classmethod
     def _lytro_peak(cls, max_disparity):
         rng = np.random.default_rng(6)
-        left = rng.random((329, 329))
+        left = rng.integers(0, 65536, (329, 329)).astype(np.float64)
         right = np.roll(left, 3, axis=1)
         params = px.MatchParams(block_size=29, max_disparity=max_disparity)
         return cls._traced_peak(left, right, params)
@@ -414,27 +432,31 @@ class TestBlockMatch:
         assert wide < 16e6
         assert wide < 1.25 * narrow
 
-    def test_integer_views_peak_a_third_below_float64(self):
-        # uint16 Lytro-sized views take the int32 path: int32 costs and
-        # integral buffers, uint16 shifted views. The same views plus 0.5
-        # take the float64 path.
+    def test_int32_costs_peak_a_third_below_int64(self):
+        # uint16 Lytro-sized views have int32 costs and integral buffers and
+        # uint16 shifted views. The same views times 64 (span 4,194,240,
+        # whose span * 29**2 passes 2**31) have int64 costs, buffers and
+        # shifted views.
         rng = np.random.default_rng(6)
         left = rng.integers(0, 65536, size=(329, 329), dtype=np.uint16)
         right = np.roll(left, 3, axis=1)
-        left_float, right_float = left + 0.5, right + 0.5
         params = px.MatchParams(block_size=29, max_disparity=16)
         with pytest.MonkeyPatch.context() as patch:
             # Two bands, as on a two-core host; each band adds block_size
             # rows of integral buffer, so the peak depends on the count.
             patch.setattr(disparity, "_band_count", lambda rows, block: 2)
-            integer_peak = self._traced_peak(left, right, params)
-        float_peak = self._traced_peak(left_float, right_float, params)
-        assert integer_peak < float_peak * 2 / 3
+            int32_peak = self._traced_peak(left, right, params)
+            int64_peak = self._traced_peak(left * np.int32(64), right * np.int32(64), params)
+        assert int32_peak < int64_peak * 2 / 3
 
     @settings(max_examples=300, deadline=None)
     @given(case=integer_cases())
     def test_integer_edge_cases_match_reference(self, case):
-        left, right, params = case
+        left, right, params, moved = case
+        if moved:
+            with pytest.raises(ValueError, match=f"^{moved} view holds values that are not whole"):
+                px.block_match(left, right, params)
+            return
         got = px.block_match(left, right, params).values
         want = _reference_block_match(left, right, params)
         assert got.tobytes() == want.tobytes()
@@ -449,8 +471,8 @@ class TestBlockMatch:
     )
     def test_int32_bound(self, block, maxd, extra, pattern, seed):
         # 65535 * 181**2 is just below 2**31, 65535 * 183**2 above it: the
-        # first takes the int32 path, the second float64. "opposite" puts
-        # every window sum at 65535 * block**2.
+        # first has int32 costs, the second int64. "opposite" puts every
+        # window sum at 65535 * block**2.
         shape = (block + extra[0], 2 * (block // 2 + maxd) + extra[1])
         if pattern == "bits":
             rng = np.random.default_rng(seed)
@@ -459,14 +481,20 @@ class TestBlockMatch:
             left = np.full(shape, 65535, dtype=np.uint16)
             right = np.zeros(shape, dtype=np.uint16)
         params = px.MatchParams(block_size=block, max_disparity=maxd)
-        calls = []
+        calls, dtypes = [], []
+        match_rows = disparity._match_rows
         with pytest.MonkeyPatch.context() as patch:
-            # The band count is asked for on the int32 path only.
+            # Both sides of the bound run in two bands.
             patch.setattr(
                 disparity, "_band_count", lambda rows, b: calls.append(rows) or 2
             )
+            patch.setattr(
+                disparity, "_match_rows",
+                lambda *job: dtypes.append(job[4].dtype) or match_rows(*job),
+            )
             got = px.block_match(left, right, params).values
-        assert len(calls) == (block == 181)
+        assert len(calls) == 1
+        assert dtypes == [np.dtype(np.int32 if block == 181 else np.int64)] * 2
         want = _reference_block_match(left, right, params)
         assert got.tobytes() == want.tobytes()
 
@@ -522,30 +550,72 @@ class TestBlockMatch:
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.float64])
     def test_strided_views_match_their_contiguous_copies(self, dtype):
-        # decode's views are strided slices of the raw. uint16 runs the
-        # int32 path; float64 with fractional values runs the float path.
+        # decode's views are strided slices of the raw, here of uint16 or of
+        # whole-valued float64 samples.
         m, count_h, count_v = 5, 61, 41
         rng = np.random.default_rng(17)
-        samples = (rng.random((count_v * m, count_h * m)) * 4000).astype(dtype)
+        samples = np.floor(rng.random((count_v * m, count_h * m)) * 4000).astype(dtype)
         lf = px.decode(px.RawLightFieldImage(samples=samples, config=rig(m, count_h, count_v)))
         left, right = (px.extract_view(lf, i, 0).pixels for i in (-1, 1))
         assert not left.flags.c_contiguous and not right.flags.c_contiguous
         params = px.MatchParams(block_size=7, max_disparity=4)
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            # The band count is asked for on the int32 path only.
             patch.setattr(disparity, "_band_count", lambda rows, b: calls.append(rows) or 2)
             got = px.block_match(left, right, params).values
             want = px.block_match(
                 np.ascontiguousarray(left), np.ascontiguousarray(right), params
             ).values
-        assert len(calls) == 2 * (dtype is np.uint16)
+        assert len(calls) == 2
         assert np.isfinite(got).any()
         assert got.tobytes() == want.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             px.block_match(np.zeros((10, 10)), np.zeros((10, 11)), px.MatchParams(block_size=5))
+
+    def test_span_past_int64_costs_rejected_before_allocating(self):
+        # span 2**63: no window of 3x3 can hold its sums in int64.
+        left = np.full((40, 60), 2**62, dtype=np.int64)
+        left[::2] = -(2**62)
+        right = np.roll(left, 1, axis=0)
+        tracemalloc.start()
+        try:
+            message = "view span 9223372036854775808 times block_size**2 (3**2) reaches 2**63"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                px.block_match(left, right, px.MatchParams(block_size=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Less than one view: no cost plane, shifted view or buffer was made.
+        assert peak < left.nbytes
+
+    def test_bool_views_match_their_uint8_copies(self):
+        rng = np.random.default_rng(9)
+        left = rng.random((30, 40)) < 0.5
+        right = np.roll(left, 2, axis=1)
+        params = px.MatchParams(block_size=5, max_disparity=3)
+        got = px.block_match(left, right, params).values
+        want = px.block_match(left.astype(np.uint8), right.astype(np.uint8), params).values
+        assert np.isfinite(got).any()
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBandCount:
+    def test_without_affinity_uses_cpu_count(self, monkeypatch):
+        # macOS has no os.sched_getaffinity.
+        monkeypatch.delattr(disparity.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(disparity.os, "cpu_count", lambda: 3)
+        assert disparity._band_count(100, 5) == 3
+
+    def test_unknown_cpu_count_gives_one_band(self, monkeypatch):
+        monkeypatch.delattr(disparity.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(disparity.os, "cpu_count", lambda: None)
+        assert disparity._band_count(100, 5) == 1
+
+    def test_fewer_rows_than_block_give_one_band(self, monkeypatch):
+        monkeypatch.setattr(disparity.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert disparity._band_count(4, 5) == 1
 
 
 class TestSceneProperties:
